@@ -38,11 +38,20 @@ class ConfigError(ValueError):
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return "%.12g" % float(v)
+    text = "%.12g" % float(v)
+    return "" if text == "nan" else text  # a statistic over no escaped trial
+
+
+def _number(v) -> float | None:
+    """JSON value of a statistic; null where no escaped trial gave it."""
+    v = float(v)
+    return None if np.isnan(v) else v
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -60,7 +69,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _write_json(path: str, obj: dict) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _say(args, msg: str) -> None:
@@ -109,6 +118,13 @@ def _as_float(v, key: str) -> float:
     return float(v)
 
 
+def _confidence_from(cfg: dict) -> float:
+    confidence = _as_float(_pop(cfg, "confidence", 0.99), "confidence")
+    if not 0.0 < confidence < 1.0:
+        raise ConfigError(f"confidence must lie strictly in (0, 1), got {confidence!r}")
+    return confidence
+
+
 def _require_seed(args) -> int:
     if args.seed is None:
         raise ConfigError("this command needs --seed")
@@ -124,7 +140,10 @@ def _source_from(cfg: dict) -> sim.BitSource:
     if kind == "alternating":
         return sim.BitSource.alternating()
     if kind == "explicit":
-        return sim.BitSource.explicit(_pop(cfg, "pattern_bits"))
+        bits = _pop(cfg, "pattern_bits")
+        if not isinstance(bits, list):
+            raise ConfigError(f"pattern_bits must be a list of bits, got {bits!r}")
+        return sim.BitSource.explicit(bits)
     raise ConfigError(f"unknown source {kind!r}")
 
 
@@ -215,7 +234,7 @@ def _chain_from(cfg: dict) -> tuple[markov.AbsorbingChain, object, dict]:
 
 def cmd_analyze(args, outdir: str) -> dict:
     cfg = _load_config(args.config)
-    confidence = _as_float(_pop(cfg, "confidence", 0.99), "confidence")
+    confidence = _confidence_from(cfg)
     max_transitions = _as_int(
         _pop(cfg, "max_transitions", markov.DEFAULT_MAX_TRANSITIONS), "max_transitions"
     )
@@ -259,7 +278,7 @@ def cmd_analyze(args, outdir: str) -> dict:
 def _trial_config_from(cfg: dict, record: bool = False) -> tuple[sim.TrialConfig, dict]:
     window = _window_from(cfg)
     source = _source_from(cfg)
-    mismatch = _pop(cfg, "mismatch_percent", 0)
+    mismatch = _as_float(_pop(cfg, "mismatch_percent", 0), "mismatch_percent")
     max_cycles = _as_int(_pop(cfg, "max_cycles", 1_000_000), "max_cycles")
     coarse_cfg = _pop(cfg, "coarse", None)
     coarse = None
@@ -315,15 +334,23 @@ def cmd_simulate(args, outdir: str) -> dict:
         _done(cfg, "simulate")
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    width = base_config.window.width_steps
     if positions is None:
-        positions = _default_positions(width)
+        positions = _default_positions(base_config.window.width_steps)
+    elif not isinstance(positions, list) or not positions:
+        raise ConfigError(f"positions_steps must be a nonempty list, got {positions!r}")
     positions = [_as_int(p, "positions_steps") for p in positions]
+    try:
+        configs = [replace(base_config, initial_position=p) for p in positions]
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     rows = []
-    for i, pos in enumerate(positions):
-        cfg_i = replace(base_config, initial_position=pos)
+    for i, (pos, cfg_i) in enumerate(zip(positions, configs)):
         res = sim.run_monte_carlo(cfg_i, trials, (seed, i))
-        rows.append((pos, res.mean_cycles, res.std_cycles, res.stderr_cycles, trials))
+        # a position whose trials all hit max_cycles has no escape statistics
+        stats = (None, None, None)
+        if res.escaped_mask.any():
+            stats = (res.mean_cycles, res.std_cycles, res.stderr_cycles)
+        rows.append((pos, *stats, trials))
     _write_csv(
         os.path.join(outdir, "escape_stats.csv"),
         ["position", "mean", "std", "stderr", "trials"],
@@ -331,8 +358,7 @@ def cmd_simulate(args, outdir: str) -> dict:
     )
 
     if record:
-        cfg_0 = replace(base_config, initial_position=positions[0], record_trajectory=True)
-        tr = sim.run_trial(cfg_0, (seed, 0, 0))
+        tr = sim.run_trial(replace(configs[0], record_trajectory=True), (seed, 0, 0))
         traj = tr.trajectory
         _write_csv(
             os.path.join(outdir, "trajectory.csv"),
@@ -346,7 +372,7 @@ def cmd_simulate(args, outdir: str) -> dict:
         "seed": seed,
         "trials": trials,
         "positions": positions,
-        "mean_cycles": [float(r[1]) for r in rows],
+        "mean_cycles": [r[1] for r in rows],
     }
 
 
@@ -465,15 +491,15 @@ def cmd_compare(args, outdir: str) -> dict:
             **meta,
             "seed": seed,
             "trials": trials,
-            "p_value": report.p_value,
-            "baseline_mean": float(report.baseline_mean[0]),
-            "treated_mean": float(report.treated_mean[0]),
-            "reduction_mean": float(report.reduction_mean[0]),
+            "p_value": _number(report.p_value),
+            "baseline_mean": _number(report.baseline_mean[0]),
+            "treated_mean": _number(report.treated_mean[0]),
+            "reduction_mean": _number(report.reduction_mean[0]),
         }
     elif technique == "coarse":
         try:
             window = _window_from(cfg)
-            confidence = _as_float(_pop(cfg, "confidence", 0.99), "confidence")
+            confidence = _confidence_from(cfg)
             period = _as_float(_pop(cfg, "divided_period_ns", 4.0), "divided_period_ns")
             _done(cfg, "compare")
             est = reduction.coarse_first_confidence(window, confidence, period)
@@ -507,26 +533,23 @@ def cmd_sweep(args, outdir: str) -> dict:
     cfg = _load_config(args.config)
     try:
         widths = _pop(cfg, "widths_steps")
-        confidence = _as_float(_pop(cfg, "confidence", 0.99), "confidence")
+        confidence = _confidence_from(cfg)
         max_transitions = _as_int(
             _pop(cfg, "max_transitions", markov.DEFAULT_MAX_TRANSITIONS), "max_transitions"
         )
         _done(cfg, "sweep")
         if not isinstance(widths, (list, tuple)) or not widths:
             raise ConfigError("widths_steps must be a nonempty list")
-        widths = [_as_int(w, "widths_steps") for w in widths]
+        windows = [jitter.WindowSpec(_as_int(w, "widths_steps")) for w in widths]
+        chains = [jitter.build_isi1_chain(window) for window in windows]
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
     rows = []
-    for w in widths:
-        window = jitter.WindowSpec(w)
-        chain = jitter.build_isi1_chain(window)
+    for window, chain in zip(windows, chains):
         p0 = markov.point_mass(chain, window.initial)
-        series = markov.absorption_series(
-            chain, p0, target_confidence=confidence, max_n=max_transitions
-        )
-        rows.append((w, int(np.argmax(series.cdf >= confidence))))
+        n = markov.transitions_for_confidence(chain, p0, confidence, max_n=max_transitions)
+        rows.append((window.width_steps, n))
     _write_csv(os.path.join(outdir, "sweep.csv"), ["window_steps", "n_at_confidence"], rows)
     return {
         "command": "sweep",

@@ -9,7 +9,7 @@ from scipy import stats as sstats
 
 from .jitter import WindowSpec, build_biased_chain, build_isi1_chain, mismatch_substeps
 from .markov import absorption_stats, point_mass, transitions_for_confidence
-from .sim import BitSource, MonteCarloResult, TrialConfig, run_monte_carlo
+from .sim import BitSource, MonteCarloResult, TrialConfig, _trial_seed, run_monte_carlo
 
 __all__ = [
     "ReductionReport",
@@ -90,8 +90,8 @@ def compare_training(
     if trials < 2:
         raise ValueError("need at least 2 trials per arm")
     treated_cfg = replace(config, source=BitSource.training_biased())
-    baseline = run_monte_carlo(config, trials, _arm_seed(base_seed, 0))
-    treated = run_monte_carlo(treated_cfg, trials, _arm_seed(base_seed, 1))
+    baseline = run_monte_carlo(config, trials, _trial_seed(base_seed, 0))
+    treated = run_monte_carlo(treated_cfg, trials, _trial_seed(base_seed, 1))
     b = baseline.escape_cycles[baseline.escaped_mask]
     t = treated.escape_cycles[treated.escaped_mask]
     p = float(sstats.ttest_ind(t, b, equal_var=False, alternative="less").pvalue)
@@ -106,12 +106,6 @@ def compare_training(
         p_value=p,
     )
     return report, baseline, treated
-
-
-def _arm_seed(base_seed, arm: int):
-    if isinstance(base_seed, (list, tuple)):
-        return tuple(base_seed) + (arm,)
-    return (int(base_seed), arm)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,20 @@
 """Behavioral Monte Carlo of the retiming loop plus waveform utilities.
 
-Trials walk the clock position over a data-derived crossing trace one
-bit cycle at a time, using the same phase-detector rule as the chain
-builders.  Waveform helpers drive an RC ladder to produce eye diagrams
-and folded crossing histograms for window extraction.
+Every trial is a crossing-stream producer feeding one walk kernel.  A
+producer gives, a chunk of bit cycles at a time, the cycle and position
+of each data crossing: read off a discrete trace's transition table
+(with optional Gaussian jitter), held through quiet cycles by the
+coarse-acquisition latch, or measured off an RC ladder's waveform.  The
+kernel, ``_walk``, moves the clock by the same phase-detector rule as
+the chain builders and owns the chunk schedule, escape detection and
+the trajectory.  Waveform helpers drive the RC ladder to produce eye
+diagrams and folded crossing histograms for window extraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.signal import lfilter
@@ -288,37 +294,117 @@ class _BitFeed:
         return self.pattern[idx]
 
 
-def _isi1_codes(seq: np.ndarray) -> np.ndarray:
-    """Per-cycle crossing code from a (n+2)-bit window: 0=A, 1=B, -1 none."""
-    prev, cur, nxt = seq[:-2], seq[1:-1], seq[2:]
-    trans = cur != nxt
-    code = np.full(cur.size, -1, dtype=np.int8)
-    code[trans & (prev != cur)] = 0
-    code[trans & (prev == cur)] = 1
-    return code
+@lru_cache(maxsize=8)
+def _code_table(order: int, table: tuple) -> np.ndarray:
+    """Crossing index per window of order + 2 bits (oldest bit highest), -1 for none.
+
+    ISI-1 keys are (previous, current, next) bits and ISI-2 keys a packed
+    three-bit history plus the next bit, so reading a key as binary
+    digits gives its window either way.
+    """
+    lut = np.full(2 ** (order + 2), -1, dtype=np.int8)
+    for key, label in table:
+        if label is not None:
+            lut[reduce(lambda hi, lo: 2 * hi + lo, key)] = "ABCD".index(label)
+    return lut
 
 
-_ISI2_LUT = np.full(16, -1, dtype=np.int8)
-for (_s, _b), _lab in {
-    (0b000, 1): "D", (0b001, 0): "A", (0b010, 1): "B", (0b011, 0): "C",
-    (0b100, 1): "C", (0b101, 0): "B", (0b110, 1): "A", (0b111, 0): "D",
-}.items():
-    _ISI2_LUT[_s * 2 + _b] = "ABCD".index(_lab)
+def _trace_events(trace: IsiTraceModel, cross: np.ndarray, sigma: float, feed, rng):
+    """Crossing producer of a discrete trace: codes read off the bit stream."""
+    lut = _code_table(trace.order, tuple(trace.transition_table.items()))
+    ctx = trace.order + 1
+    weights = 2 ** np.arange(ctx + 1)
+    tail = feed.take(ctx)
+
+    def events(n: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal tail
+        seq = np.concatenate([tail, feed.take(n)])
+        tail = seq[-ctx:]
+        # convolution reverses the weights, so the oldest bit weighs most
+        code = lut[np.convolve(seq, weights, "valid")]
+        t = np.flatnonzero(code >= 0)
+        c = cross[code[t]]
+        if sigma:
+            c = c + sigma * rng.standard_normal(t.size)
+        return t, c
+
+    return events
 
 
-def _isi2_codes(seq: np.ndarray) -> np.ndarray:
-    """Per-cycle crossing code from a (n+3)-bit window: 0..3=A..D, -1 none."""
-    s = (seq[:-3].astype(np.int16) << 2) | (seq[1:-2] << 1) | seq[2:-1]
-    return _ISI2_LUT[s * 2 + seq[3:]]
+def _latched(events, held: float):
+    """Coarse producer: one crossing per cycle, the latest detector decision
+    held through quiet cycles; held starts at an edge (0 moves right)."""
+
+    def coarse(n: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal held
+        t, c = events(n)
+        seen = np.zeros(n, dtype=np.intp)
+        seen[t] = np.arange(1, t.size + 1)
+        c = np.concatenate([[held], c])[np.maximum.accumulate(seen)]
+        held = c[-1]
+        return np.arange(n), c
+
+    return coarse
 
 
-def _first_hit(path: np.ndarray, hi: int) -> tuple[int, int]:
-    """(index, side) of the first boundary hit in path, or (-1, 0)."""
-    hit = (path <= 0) | (path >= hi)
-    if not hit.any():
-        return -1, 0
-    i = int(np.argmax(hit))
-    return i, (-1 if path[i] <= 0 else 1)
+def _walk(phases, pos: int, w: int, s_r: int, rng, record: bool) -> TrialResult:
+    """The phase-detector walk over crossing streams, for every kind of trial.
+
+    Each phase is (events, cycles, up, down): events(n) gives the
+    crossings of the next n cycles as cycle indices t (-1 for a crossing
+    just before the chunk) and positions c in sub-steps; a crossing left
+    of the clock moves it up sub-steps right, one right of it down
+    sub-steps left, and a fair coin decides a tie.  Positions 0 and
+    g = w * s_r absorb.  Every phase restarts the chunk schedule.
+    """
+    g = w * s_r
+    traj = [np.array([pos], dtype=float)] if record else None
+    base, cycle, side = 0, None, 0
+    for events, cycles, up, down in phases:
+        chunk = _CHUNK0
+        while cycles > 0 and cycle is None:
+            n = min(chunk, cycles)
+            t, c = events(n)
+            if not ((c > 0) & (c < g)).any():
+                # crossings on or beyond an edge sit left or right of every
+                # interior clock, so each move is known without the position
+                path = pos + np.cumsum(np.where(c <= 0, up, -down))
+            else:
+                steps, p = [], pos
+                for ck in c.tolist():
+                    if ck < p or (ck == p and rng.random() < 0.5):
+                        p += up
+                    else:
+                        p -= down
+                    steps.append(p)
+                    if p <= 0 or p >= g:
+                        break
+                path = np.array(steps, dtype=np.int64)
+            out = (path <= 0) | (path >= g)
+            if out.any():
+                k = int(np.argmax(out))
+                path, t = path[: k + 1], t[: k + 1]
+                cycle = base + int(t[-1]) + 1
+                side = -1 if path[-1] <= 0 else 1
+            if traj is not None:
+                # per cycle, the position after its last crossing so far
+                stop = max(int(t[-1]), 0) + 1 if cycle is not None else n
+                seen = np.searchsorted(np.maximum(t, 0), np.arange(stop), side="right")
+                traj.append(np.r_[pos, path][seen].astype(float))
+            if path.size:
+                pos = int(path[-1])
+            base += n
+            cycles -= n
+            chunk = min(chunk * 4, _CHUNK_MAX)
+
+    trajectory = None
+    if traj is not None:
+        trajectory = np.concatenate(traj) / s_r
+        if side:
+            trajectory[-1] = 0.0 if side < 0 else float(w)
+    if cycle is None:
+        return TrialResult(False, None, None, trajectory)
+    return TrialResult(True, cycle, "left" if side < 0 else "right", trajectory)
 
 
 def run_trial(config: TrialConfig, seed) -> TrialResult:
@@ -334,132 +420,27 @@ def run_trial(config: TrialConfig, seed) -> TrialResult:
     s_l, s_r = mismatch_substeps(config.mismatch_percent)
     w = config.window.width_steps
     g = w * s_r
-    pos = config.initial * s_r
     feed = _BitFeed(config.source, rng)
-
-    order = trace.order
-    ctx = 2 if order == 1 else 3
-    tail = feed.take(ctx)
-    cross_sub = np.asarray(trace.crossing_positions) * s_r
+    cross = np.asarray(trace.crossing_positions) * s_r
     jit = config.channel.jitter
-    sigma_sub = jit.sigma_steps * s_r if jit is not None else 0.0
-    spanning = cross_sub[0] == 0 and cross_sub[-1] == g
+    sigma = jit.sigma_steps * s_r if jit is not None else 0.0
+    fine = _trace_events(trace, cross, sigma, feed, rng)
 
-    traj: list[np.ndarray] | None = None
-    if config.record_trajectory:
-        traj = [np.array([pos], dtype=float)]
-
-    def finish(cycle: int | None, side: int) -> TrialResult:
-        trajectory = None
-        if traj is not None:
-            trajectory = np.concatenate(traj) / s_r
-            if side:
-                trajectory[-1] = 0.0 if side < 0 else float(w)
-        if cycle is None:
-            return TrialResult(False, None, None, trajectory)
-        return TrialResult(True, cycle, "left" if side < 0 else "right", trajectory)
-
-    cycle_base = 0
-    remaining = config.max_cycles
-    chunk = _CHUNK0
-
+    phases = []
+    cycles = config.max_cycles
     coarse = config.coarse_first
     if coarse is not None and coarse.duration_cycles > 0:
-        if order != 1 or not spanning or sigma_sub:
+        if trace.order != 1 or cross[0] != 0 or cross[-1] != g or sigma:
             raise ValueError(
                 "coarse acquisition supports clean two-crossing traces only"
             )
-        direction = 1 if rng.random() < 0.5 else -1
-        left = min(coarse.duration_cycles, remaining)
+        held = 0.0 if rng.random() < 0.5 else float(g)
+        n = min(coarse.duration_cycles, cycles)
         step = coarse.coarse_step_steps * s_r
-        while left > 0:
-            n = min(chunk, left)
-            seq = np.concatenate([tail, feed.take(n)])
-            code = _isi1_codes(seq)
-            d = np.zeros(n, dtype=np.int64)
-            d[code == 0] = 1
-            d[code == 1] = -1
-            # latch: quiet cycles reuse the most recent detector decision
-            marks = np.where(d != 0, np.arange(1, n + 1), 0)
-            last = np.maximum.accumulate(marks)
-            filled = np.where(last > 0, d[np.maximum(last - 1, 0)], direction)
-            path = pos + step * np.cumsum(filled)
-            i, side = _first_hit(path, g)
-            if traj is not None:
-                stop = i + 1 if i >= 0 else n
-                traj.append(np.clip(path[:stop], 0, g).astype(float))
-            if i >= 0:
-                return finish(cycle_base + i + 1, side)
-            pos = int(path[-1])
-            direction = int(filled[-1])
-            tail = seq[-ctx:]
-            cycle_base += n
-            remaining -= n
-            left -= n
-            chunk = min(chunk * 4, _CHUNK_MAX)
-        chunk = _CHUNK0
-
-    if order == 1 and spanning and not sigma_sub:
-        # crossing A sits left of every interior position and B right of
-        # it, so the move direction depends only on the label
-        while remaining > 0:
-            n = min(chunk, remaining)
-            seq = np.concatenate([tail, feed.take(n)])
-            code = _isi1_codes(seq)
-            moves = np.zeros(n, dtype=np.int64)
-            moves[code == 0] = s_r
-            moves[code == 1] = -s_l
-            path = pos + np.cumsum(moves)
-            i, side = _first_hit(path, g)
-            if traj is not None:
-                stop = i + 1 if i >= 0 else n
-                traj.append(np.clip(path[:stop], 0, g).astype(float))
-            if i >= 0:
-                return finish(cycle_base + i + 1, side)
-            pos = int(path[-1])
-            tail = seq[-ctx:]
-            cycle_base += n
-            remaining -= n
-            chunk = min(chunk * 4, _CHUNK_MAX)
-        return finish(None, 0)
-
-    codes_of = _isi1_codes if order == 1 else _isi2_codes
-    while remaining > 0:
-        n = min(chunk, remaining)
-        seq = np.concatenate([tail, feed.take(n)])
-        code = codes_of(seq)
-        pos_path = np.empty(n, dtype=np.int64) if traj is not None else None
-        prev_t = 0
-        for t in np.nonzero(code >= 0)[0]:
-            if pos_path is not None:
-                pos_path[prev_t:t] = pos
-                prev_t = t
-            c = cross_sub[code[t]]
-            if sigma_sub:
-                c = c + sigma_sub * rng.standard_normal()
-            if c < pos:
-                pos += s_r
-            elif c > pos:
-                pos -= s_l
-            elif rng.random() < 0.5:
-                pos += s_r
-            else:
-                pos -= s_l
-            if pos_path is not None:
-                pos_path[t] = pos
-                prev_t = t + 1
-            if pos <= 0 or pos >= g:
-                if pos_path is not None:
-                    traj.append(np.clip(pos_path[: t + 1], 0, g).astype(float))
-                return finish(cycle_base + int(t) + 1, -1 if pos <= 0 else 1)
-        if pos_path is not None:
-            pos_path[prev_t:] = pos
-            traj.append(pos_path.astype(float))
-        tail = seq[-ctx:]
-        cycle_base += n
-        remaining -= n
-        chunk = min(chunk * 4, _CHUNK_MAX)
-    return finish(None, 0)
+        phases.append((_latched(fine, held), n, step, step))
+        cycles -= n
+    phases.append((fine, cycles, s_r, s_l))
+    return _walk(phases, config.initial * s_r, w, s_r, rng, config.record_trajectory)
 
 
 _RC_CAL_UI = 288
@@ -472,21 +453,9 @@ def _rc_trial(config: TrialConfig, rng: np.random.Generator) -> TrialResult:
     payload then runs through the same filter state so the line never
     resets.  Window width in steps comes from the measured band width.
     """
-    ch = config.channel
-    spu = ch.samples_per_ui
-    gain, mu, wout = _rc_system(ch)
-    state = np.zeros((gain.size, 1))
-
-    def push(bits: np.ndarray) -> np.ndarray:
-        u = np.repeat(bits.astype(float), spu)
-        out = np.zeros(u.size)
-        for i in range(gain.size):
-            y, state[i] = lfilter([gain[i]], [1.0, -mu[i]], u, zi=state[i])
-            out += wout[i] * y
-        return out
-
-    cal_bits = (rng.random(_RC_CAL_UI) < 0.5).astype(np.int64)
-    wave = push(cal_bits)
+    spu = config.channel.samples_per_ui
+    line = _RcLine(config.channel)
+    wave = line.push(rng.random(_RC_CAL_UI) < 0.5)
     hist = crossing_histogram(wave, spu)
     band, win_ui = hist.band_start_ui, hist.window_ui
 
@@ -497,72 +466,26 @@ def _rc_trial(config: TrialConfig, rng: np.random.Generator) -> TrialResult:
         raise ValueError(
             f"initial position must lie strictly inside the measured {w}-step window"
         )
-    g = w * s_r
-    pos = init * s_r
     scale = s_r / config.step_tau
-
     feed = _BitFeed(config.source, rng)
-    traj: list[np.ndarray] | None = None
-    if config.record_trajectory:
-        traj = [np.array([pos], dtype=float)]
-
-    def finish(cycle: int | None, side: int) -> TrialResult:
-        trajectory = None
-        if traj is not None:
-            trajectory = np.concatenate(traj) / s_r
-            if side:
-                trajectory[-1] = 0.0 if side < 0 else float(w)
-        if cycle is None:
-            return TrialResult(False, None, None, trajectory)
-        return TrialResult(True, cycle, "left" if side < 0 else "right", trajectory)
-
-    cycle_base = 0
-    remaining = config.max_cycles
-    chunk = _CHUNK0
     prev = wave[-1]
-    while remaining > 0:
-        n = min(chunk, remaining)
-        y = push(feed.take(n))
+
+    def events(n: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal prev
+        y = line.push(feed.take(n))
         s = np.r_[prev, y] - 0.5
         prev = y[-1]
         flips = np.nonzero(np.signbit(s[:-1]) != np.signbit(s[1:]))[0]
         # fractional crossing times, shifted by the one-sample lookback
         t_ui = (flips + s[flips] / (s[flips] - s[flips + 1]) - 1.0) / spu
         ui = np.floor(t_ui).astype(np.int64)
-        # first crossing per cycle
-        keep = np.r_[True, ui[1:] != ui[:-1]] if ui.size else np.zeros(0, dtype=bool)
-        pos_path = np.empty(n, dtype=np.int64) if traj is not None else None
-        prev_t = 0
-        for t, tu in zip(ui[keep], t_ui[keep]):
-            x = (tu % 1.0 - band) % 1.0
-            if x > (win_ui + 1.0) / 2:
-                x -= 1.0  # crossing just left of the band start
-            c = x * scale
-            tp = max(int(t), 0)
-            if pos_path is not None:
-                pos_path[prev_t:tp] = pos
-            if c < pos:
-                pos += s_r
-            elif c > pos:
-                pos -= s_l
-            elif rng.random() < 0.5:
-                pos += s_r
-            else:
-                pos -= s_l
-            if pos_path is not None:
-                pos_path[tp] = pos
-                prev_t = tp + 1
-            if pos <= 0 or pos >= g:
-                if pos_path is not None:
-                    traj.append(np.clip(pos_path[: tp + 1], 0, g).astype(float))
-                return finish(cycle_base + int(t) + 1, -1 if pos <= 0 else 1)
-        if pos_path is not None:
-            pos_path[prev_t:] = pos
-            traj.append(pos_path.astype(float))
-        cycle_base += n
-        remaining -= n
-        chunk = min(chunk * 4, _CHUNK_MAX)
-    return finish(None, 0)
+        first = np.diff(ui, prepend=-2) != 0  # first crossing per cycle
+        x = (t_ui[first] % 1.0 - band) % 1.0
+        x = np.where(x > (win_ui + 1.0) / 2, x - 1.0, x)  # just left of the band start
+        return ui[first], x * scale
+
+    return _walk([(events, config.max_cycles, s_r, s_l)], init * s_r, w, s_r, rng,
+                 config.record_trajectory)
 
 
 def _trial_seed(base_seed, k: int):
@@ -663,17 +586,28 @@ def _rc_system(channel: ChannelModel) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return gain, mu, q[-1, :]
 
 
+class _RcLine:
+    """The ladder's modal filter bank; its state carries from one push to the next."""
+
+    def __init__(self, channel: ChannelModel):
+        self.spu = channel.samples_per_ui
+        self.gain, self.mu, self.wout = _rc_system(channel)
+        self.state = np.zeros((self.gain.size, 1))
+
+    def push(self, bits: np.ndarray) -> np.ndarray:
+        u = np.repeat(np.asarray(bits, dtype=float), self.spu)
+        out = np.zeros(u.size)
+        for i in range(self.gain.size):
+            y, self.state[i] = lfilter([self.gain[i]], [1.0, -self.mu[i]], u, zi=self.state[i])
+            out += self.wout[i] * y
+        return out
+
+
 def propagate_rc(channel: ChannelModel, bits: np.ndarray) -> np.ndarray:
-    """NRZ bits through the RC ladder; returns the far-end waveform."""
+    """NRZ bits through the RC ladder from rest; returns the far-end waveform."""
     if channel.kind != "rc_line":
         raise ValueError("propagate_rc needs an rc_line channel")
-    spu = channel.samples_per_ui
-    gain, mu, wout = _rc_system(channel)
-    u = np.repeat(np.asarray(bits, dtype=float), spu)
-    out = np.zeros(u.size)
-    for i in range(gain.size):
-        out += wout[i] * lfilter([gain[i]], [1.0, -mu[i]], u)
-    return out
+    return _RcLine(channel).push(bits)
 
 
 def eye_traces(

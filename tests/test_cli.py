@@ -138,6 +138,24 @@ def test_simulate_trials_flag_overrides(tmp_path):
     assert summary_of(out)["trials"] == 7
 
 
+def _reject_nan(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+def test_simulate_censored_positions_write_no_nan(tmp_path):
+    # from position 6 of 12 no trial can escape within 3 cycles
+    rc, out = invoke(
+        tmp_path, "simulate", simulate_cfg(max_cycles=3), "--seed", "2"
+    )
+    assert rc == 0
+    s = json.loads((out / "summary.json").read_text(), parse_constant=_reject_nan)
+    assert s["mean_cycles"][1] is None
+    _, rows = data_rows(out / "escape_stats.csv")
+    assert rows[1] == ["6", "", "", "", "30"]
+    for name in ("summary.json", "escape_stats.csv"):
+        assert "nan" not in (out / name).read_text().lower()
+
+
 # ---------------------------------------------------------------- eye
 
 
@@ -262,6 +280,23 @@ def test_unknown_channel_preset_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("simulate", simulate_cfg(positions_steps=5)),
+        ("simulate", simulate_cfg(mismatch_percent=[1])),
+        ("simulate", simulate_cfg(source="explicit", pattern_bits=5)),
+        ("analyze", {"schema_version": 1, "model": "isi1", "width_steps": 8, "confidence": 1.5}),
+        ("sweep", {"schema_version": 1, "widths_steps": [1]}),
+    ],
+    ids=["positions-scalar", "mismatch-list", "pattern-scalar", "confidence-above-1", "width-1"],
+)
+def test_bad_config_shape_exits_2(tmp_path, capsys, command, cfg):
+    rc, _ = invoke(tmp_path, command, cfg, "--seed", "1")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_oversized_seed_exits_2(tmp_path):
     rc, _ = invoke(
         tmp_path, "sweep", {"schema_version": 1, "widths_steps": [2]}, "--seed", "-1"
@@ -270,6 +305,12 @@ def test_oversized_seed_exits_2(tmp_path):
 
 
 # ---------------------------------------------------------------- script
+
+
+def _source_env() -> dict:
+    """The inherited environment with this checkout's `src` first on PYTHONPATH."""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
 def _console_commands():
@@ -291,15 +332,27 @@ def _console_commands():
             f"import sys; from {module} import {func}; "
             f"sys.argv[0] = 'mesosettle'; sys.exit({func}())"
         )
-        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        commands.append(([sys.executable, "-c", wrapper], env))
+        commands.append(([sys.executable, "-c", wrapper], _source_env()))
     installed = shutil.which("mesosettle")
     if installed:
         commands.append(([installed], None))
     if not commands:
         pytest.skip("No module named 'tomllib' and no mesosettle script on PATH")
     return commands
+
+
+def test_python_m_runs_from_source(tmp_path):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({"schema_version": 1, "widths_steps": [2, 5]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mesosettle", "sweep", "--config", str(cfg_path),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True,
+        text=True,
+        env=_source_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["n_at_confidence"] == [7, 48]
 
 
 def test_console_script_runs(tmp_path):

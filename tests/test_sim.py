@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,3 +460,70 @@ def test_training_source_drifts_deterministically():
     assert res.escaped_fraction == 1.0
     assert (res.exit_sides < 0).all()
     assert res.mean_cycles == pytest.approx(20 / 0.25, abs=6.0)
+
+
+# ------------------------------------------------------------ walk stream
+
+# walk_stream_digests() as computed at commit bc9e2cf, the last one with a
+# separate walk loop per trial kind; regenerate only when a change means to
+# alter the random streams, and say so in CHANGES.md
+WALK_STREAM_TABLE = Path(__file__).with_name("walk_stream_reference.json")
+
+
+def walk_stream_cases():
+    """One config per walk that used to have its own loop: clean ISI-1 with
+    and without mismatch, a periodic source, coarse acquisition ending
+    inside and beyond the first chunk, jitter inside a collar and over
+    several chunks, ISI-2 ties and an RC line whose finer phase step runs
+    one seed past the first chunk."""
+    bern = BitSource.bernoulli(0.5)
+    collar = IsiTraceModel(
+        order=1, crossing_positions=(3.0, 13.0), transition_table=dict(ISI1_TABLE)
+    )
+    return {
+        "isi1": isi1_config(20),
+        "isi1-mismatch": isi1_config(20, mismatch_percent=10),
+        "periodic": replace(isi1_config(40), source=BitSource.training_biased()),
+        "coarse-short": isi1_config(40, coarse_first=CoarseFirstSpec(1, 30)),
+        "coarse-long": isi1_config(200, coarse_first=CoarseFirstSpec(1, 5000)),
+        "jitter": TrialConfig(
+            channel=ChannelModel.discrete(collar, GaussianJitterSpec(sigma_steps=1.5)),
+            source=bern,
+            window=WindowSpec(16),
+        ),
+        "jitter-long": TrialConfig(
+            channel=ChannelModel.discrete(isi1_trace(60), GaussianJitterSpec(sigma_steps=0.75)),
+            source=bern,
+            window=WindowSpec(60),
+        ),
+        "isi2-ties": TrialConfig(
+            channel=ChannelModel.discrete(isi2_trace(3, 4, 3)), source=bern, window=WindowSpec(10)
+        ),
+        "rc": replace(rc_trial_config(), step_tau=0.002),
+    }
+
+
+def walk_stream_digests() -> dict:
+    """Escape, cycle, side and trajectory SHA-256 per case, seed and recording,
+    plus one run_monte_carlo per case."""
+    out = {}
+    for name, cfg in walk_stream_cases().items():
+        for record in (False, True):
+            for seed in range(6):
+                res = run_trial(replace(cfg, record_trajectory=record), seed)
+                traj = None
+                if res.trajectory is not None:
+                    traj = hashlib.sha256(res.trajectory.tobytes()).hexdigest()
+                out[f"{name}|{record}|{seed}"] = [
+                    res.escaped, res.escape_cycle, res.exit_side, traj
+                ]
+        mc = run_monte_carlo(cfg, 4, 11)
+        out[f"{name}|mc"] = [mc.escape_cycles.tolist(), mc.exit_sides.tolist()]
+    return out
+
+
+def test_walk_stream_matches_parent():
+    """Every trial draws the same random numbers and walks the same path as
+    the separate loops that the single walk kernel replaced."""
+    expected = json.loads(WALK_STREAM_TABLE.read_text())
+    assert walk_stream_digests() == expected
