@@ -6,7 +6,7 @@ A sampling clock that starts inside the crossing window of the data eye
 performs a random walk: each data transition kicks it one phase step
 toward or away from the window edges, where normal deterministic
 settling resumes.  The walk is an absorbing Markov chain, so expected
-settling times come from one banded linear solve instead of simulation.
+settling times come from one sparse LU factorisation instead of simulation.
 """
 
 import numpy as np

@@ -106,9 +106,11 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _as_int(v, key: str) -> int:
+def _as_int(v, key: str, low: int | None = None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{key} must be an integer, got {v!r}")
+    if low is not None and v < low:
+        raise ConfigError(f"{key} must be at least {low}, got {v!r}")
     return v
 
 
@@ -116,6 +118,12 @@ def _as_float(v, key: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{key} must be a number, got {v!r}")
     return float(v)
+
+
+def _as_floats(v, key: str, count: int) -> tuple[float, ...]:
+    if not isinstance(v, (list, tuple)) or len(v) != count:
+        raise ConfigError(f"{key} must be a list of {count} numbers, got {v!r}")
+    return tuple(_as_float(x, key) for x in v)
 
 
 def _confidence_from(cfg: dict) -> float:
@@ -186,9 +194,9 @@ def _chain_from(cfg: dict) -> tuple[markov.AbsorbingChain, object, dict]:
     elif model == "isi2":
         subs = _pop(cfg, "sub_windows_steps", None)
         if subs is None:
-            pct = _pop(cfg, "sub_windows_percent_ui")
+            pct = _as_floats(_pop(cfg, "sub_windows_percent_ui"), "sub_windows_percent_ui", 3)
             step = _as_float(_pop(cfg, "step_percent_ui", 0.35), "step_percent_ui")
-            subs = jitter.sub_windows_to_steps(tuple(pct), step)
+            subs = jitter.sub_windows_to_steps(pct, step)
         if not (isinstance(subs, (list, tuple)) and len(subs) == 3):
             raise ConfigError("sub_windows_steps must be three integers")
         subs = tuple(_as_int(s, "sub_windows_steps") for s in subs)
@@ -213,7 +221,7 @@ def _chain_from(cfg: dict) -> tuple[markov.AbsorbingChain, object, dict]:
         spec = jitter.CombinedJitterSpec(
             sigma_steps=_as_float(_pop(cfg, "sigma_steps"), "sigma_steps"),
             w_ab_steps=_as_int(_pop(cfg, "w_ab_steps"), "w_ab_steps"),
-            trace_probabilities=tuple(float(p) for p in probs),
+            trace_probabilities=_as_floats(probs, "trace_probabilities", 3),
         )
         chain = jitter.build_combined_chain(spec)
         init = _pop(cfg, "initial_offset_steps", spec.w_ab_steps // 2)
@@ -222,6 +230,7 @@ def _chain_from(cfg: dict) -> tuple[markov.AbsorbingChain, object, dict]:
     elif model == "biased":
         window = _window_from(cfg)
         mismatch = _pop(cfg, "mismatch_percent")
+        _as_float(mismatch, "mismatch_percent")  # the summary keeps it as written
         base = jitter.build_isi1_chain(window)
         chain = jitter.build_biased_chain(base, mismatch)
         init = window.initial  # aligned on the tau grid
@@ -236,7 +245,7 @@ def cmd_analyze(args, outdir: str) -> dict:
     cfg = _load_config(args.config)
     confidence = _confidence_from(cfg)
     max_transitions = _as_int(
-        _pop(cfg, "max_transitions", markov.DEFAULT_MAX_TRANSITIONS), "max_transitions"
+        _pop(cfg, "max_transitions", markov.DEFAULT_MAX_TRANSITIONS), "max_transitions", 1
     )
     try:
         chain, init, desc = _chain_from(cfg)
@@ -326,7 +335,7 @@ def cmd_simulate(args, outdir: str) -> dict:
     seed = _require_seed(args)
     cfg = _load_config(args.config)
     cfg_trials = _pop(cfg, "trials", 100)
-    trials = _as_int(args.trials if args.trials is not None else cfg_trials, "trials")
+    trials = _as_int(args.trials if args.trials is not None else cfg_trials, "trials", 1)
     positions = _pop(cfg, "positions_steps", None)
     record = bool(_pop(cfg, "record_trajectory", True))
     try:
@@ -379,7 +388,7 @@ def cmd_simulate(args, outdir: str) -> dict:
 def _channel_from(cfg: dict) -> sim.ChannelModel:
     preset = _pop(cfg, "channel", None)
     if preset is not None:
-        if preset not in sim.REFERENCE_CHANNELS:
+        if not isinstance(preset, str) or preset not in sim.REFERENCE_CHANNELS:
             raise ConfigError(
                 f"unknown channel preset {preset!r}; pick from {sorted(sim.REFERENCE_CHANNELS)}"
             )
@@ -461,7 +470,7 @@ def cmd_compare(args, outdir: str) -> dict:
     if technique == "mismatch":
         try:
             width = _as_int(_pop(cfg, "width_steps"), "width_steps")
-            mismatch = _pop(cfg, "mismatch_percent")
+            mismatch = _as_float(_pop(cfg, "mismatch_percent"), "mismatch_percent")
             _done(cfg, "compare")
             report = reduction.compare_mismatch(width, mismatch)
         except ValueError as e:
@@ -478,7 +487,7 @@ def cmd_compare(args, outdir: str) -> dict:
     elif technique == "training":
         seed = _require_seed(args)
         cfg_trials = _pop(cfg, "trials", 1000)
-        trials = _as_int(args.trials if args.trials is not None else cfg_trials, "trials")
+        trials = _as_int(args.trials if args.trials is not None else cfg_trials, "trials", 1)
         try:
             config, meta = _trial_config_from(cfg)
             _done(cfg, "compare")
@@ -535,7 +544,7 @@ def cmd_sweep(args, outdir: str) -> dict:
         widths = _pop(cfg, "widths_steps")
         confidence = _confidence_from(cfg)
         max_transitions = _as_int(
-            _pop(cfg, "max_transitions", markov.DEFAULT_MAX_TRANSITIONS), "max_transitions"
+            _pop(cfg, "max_transitions", markov.DEFAULT_MAX_TRANSITIONS), "max_transitions", 1
         )
         _done(cfg, "sweep")
         if not isinstance(widths, (list, tuple)) or not widths:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import coo_array
 from scipy.special import erf, ndtr
 
 from .markov import AbsorbingChain, absorption_stats
@@ -146,6 +147,19 @@ def isi2_trace(sub_ab: int, sub_bc: int, sub_cd: int) -> IsiTraceModel:
     )
 
 
+def _birth_death_chain(left, stay, right, labels) -> AbsorbingChain:
+    """Walk on 0..n-1 with both ends absorbing, built from its diagonals.
+
+    Interior state i moves to i - 1, i, i + 1 with probabilities
+    left[i - 1], stay[i - 1], right[i - 1].
+    """
+    n = len(stay) + 2
+    i = np.arange(1, n - 1)
+    rows, cols = np.r_[0, n - 1, i, i, i], np.r_[0, n - 1, i - 1, i, i + 1]
+    p = coo_array((np.r_[1.0, 1.0, left, stay, right], (rows, cols)), shape=(n, n))
+    return AbsorbingChain(p, frozenset({0, n - 1}), labels=labels)
+
+
 def build_isi1_chain(window: WindowSpec) -> AbsorbingChain:
     """Lazy symmetric walk: P(RT) = P(LT) = 1/4, P(NA) = 1/2.
 
@@ -156,15 +170,8 @@ def build_isi1_chain(window: WindowSpec) -> AbsorbingChain:
     w = window.width_steps
     if w < 2:
         raise ValueError("window narrower than 2 steps has no transient state")
-    n = w + 1
-    p = np.zeros((n, n))
-    p[0, 0] = 1.0
-    p[w, w] = 1.0
-    for i in range(1, w):
-        p[i, i - 1] = 0.25
-        p[i, i] = 0.5
-        p[i, i + 1] = 0.25
-    return AbsorbingChain(p, frozenset({0, w}), labels=tuple(range(n)))
+    quarter = np.full(w - 1, 0.25)
+    return _birth_death_chain(quarter, np.full(w - 1, 0.5), quarter, tuple(range(w + 1)))
 
 
 def build_isi2_chain(sub_ab: int, sub_bc: int, sub_cd: int) -> AbsorbingChain:
@@ -188,16 +195,14 @@ def build_isi2_chain(sub_ab: int, sub_bc: int, sub_cd: int) -> AbsorbingChain:
     def idx(pos: int, tag: str) -> int:
         return (pos - 1) * n_tags + ISI2_TAGS.index(tag)
 
-    p = np.zeros((n, n))
-    p[left, left] = 1.0
-    p[right, right] = 1.0
+    entries = [(left, left, 1.0), (right, right, 1.0)]  # (row, col, value)
     for pos in range(1, w):
         for tag in ISI2_TAGS:
             i = idx(pos, tag)
             for event in ISI2_SUCCESSORS[tag]:
                 pr = 0.5
                 if event.startswith("X"):
-                    p[i, idx(pos, event)] += pr
+                    entries.append((i, idx(pos, event), pr))
                     continue
                 c = trace.crossing_of(event)
                 if c < pos:
@@ -207,15 +212,13 @@ def build_isi2_chain(sub_ab: int, sub_bc: int, sub_cd: int) -> AbsorbingChain:
                 else:
                     moves = ((pos + 1, pr / 2), (pos - 1, pr / 2))
                 for npos, mp in moves:
-                    if npos <= 0:
-                        p[i, left] += mp
-                    elif npos >= w:
-                        p[i, right] += mp
-                    else:
-                        p[i, idx(npos, event)] += mp
+                    j = left if npos <= 0 else right if npos >= w else idx(npos, event)
+                    entries.append((i, j, mp))
     labels = tuple(
         (pos, tag) for pos in range(1, w) for tag in ISI2_TAGS
     ) + (("absorbed", "left"), ("absorbed", "right"))
+    rows, cols, vals = zip(*entries)
+    p = coo_array((vals, (rows, cols)), shape=(n, n))
     return AbsorbingChain(p, frozenset({left, right}), labels=labels)
 
 
@@ -260,23 +263,12 @@ def build_gaussian_chain(spec: GaussianJitterSpec) -> AbsorbingChain:
     if n < 3:
         raise ValueError("sigma too small: window has fewer than 3 positions")
     tp = spec.transition_probability
-    p = np.zeros((n, n))
-    p[0, 0] = 1.0
-    p[n - 1, n - 1] = 1.0
-    for i in range(1, n - 1):
-        m = i - m_max
-        wrong = wrong_update_probability(abs(m), spec)
-        toward = i - 1 if m > 0 else i + 1
-        away = i + 1 if m > 0 else i - 1
-        if m == 0:
-            p[i, i - 1] = tp / 2
-            p[i, i + 1] = tp / 2
-        else:
-            p[i, toward] = tp * wrong
-            p[i, away] = tp * (1.0 - wrong)
-        p[i, i] = 1.0 - tp
-    labels = tuple(range(-m_max, m_max + 1))
-    return AbsorbingChain(p, frozenset({0, n - 1}), labels=labels)
+    m = np.arange(1, n - 1) - m_max
+    wrong = np.array([wrong_update_probability(abs(k), spec) for k in m])
+    toward, away = tp * wrong, tp * (1.0 - wrong)  # both tp / 2 at the center
+    left, right = np.where(m > 0, toward, away), np.where(m > 0, away, toward)
+    stay = np.full(n - 2, 1.0 - tp)
+    return _birth_death_chain(left, stay, right, tuple(range(-m_max, m_max + 1)))
 
 
 @dataclass(frozen=True)
@@ -314,17 +306,14 @@ def build_combined_chain(spec: CombinedJitterSpec) -> AbsorbingChain:
     if n < 3:
         raise ValueError("span narrower than 3 positions")
     sig = spec.sigma_steps
-    p = np.zeros((n, n))
-    p[0, 0] = 1.0
-    p[n - 1, n - 1] = 1.0
-    for i in range(1, n - 1):
-        t = t_lo + i
-        crossing_left = pa * ndtr(t / sig) + pb * ndtr((t - spec.w_ab_steps) / sig)
-        p[i, i + 1] = crossing_left
-        p[i, i - 1] = (pa + pb) - crossing_left
-        p[i, i] = pnt
-    labels = tuple(range(t_lo, t_hi + 1))
-    return AbsorbingChain(p, frozenset({0, n - 1}), labels=labels)
+    t = np.arange(t_lo + 1, t_hi)
+    crossing_left = pa * ndtr(t / sig) + pb * ndtr((t - spec.w_ab_steps) / sig)
+    return _birth_death_chain(
+        (pa + pb) - crossing_left,
+        np.full(n - 2, pnt),
+        crossing_left,
+        tuple(range(t_lo, t_hi + 1)),
+    )
 
 
 def mismatch_substeps(mismatch_percent) -> tuple[int, int]:
@@ -350,30 +339,28 @@ def build_biased_chain(base: AbsorbingChain, mismatch_percent) -> AbsorbingChain
     """
     s_l, s_r = mismatch_substeps(mismatch_percent)
     w = base.n_states - 1
-    if base.absorbing != frozenset({0, w}):
+    if w < 2 or base.absorbing != frozenset({0, w}):
         raise ValueError("base must be a window chain absorbing at both edges")
-    interior = base.transitions[1:w]
-    p_left = interior[0, 0] if w > 1 else 0.0
-    p_stay = interior[0, 1]
-    for i in range(1, w):
-        row = base.transitions[i]
-        if (
-            abs(row[i - 1] - p_left) > 1e-12
-            or abs(row[i] - p_stay) > 1e-12
-            or row[[j for j in range(w + 1) if abs(j - i) > 1]].any()
-        ):
-            raise ValueError("base must be a birth-death chain with uniform rows")
+    t = base.transitions
+    c = t.tocoo()
+    # interior rows 1..w-1 of a tridiagonal base, read off its diagonals
+    left, stay = t.diagonal(-1)[: w - 1], t.diagonal()[1:w]
+    p_left, p_stay = left[0], stay[0]
+    if (
+        np.any(np.abs(left - p_left) > 1e-12)
+        or np.any(np.abs(stay - p_stay) > 1e-12)
+        or np.any(np.abs(c.row - c.col) > 1)
+    ):
+        raise ValueError("base must be a birth-death chain with uniform rows")
     p_right = 1.0 - p_left - p_stay
 
     g = w * s_r
     n = g + 1
-    p = np.zeros((n, n))
-    p[0, 0] = 1.0
-    p[g, g] = 1.0
-    for i in range(1, g):
-        p[i, min(i + s_r, g)] += p_right
-        p[i, max(i - s_l, 0)] += p_left
-        p[i, i] += p_stay
+    i = np.arange(1, g)
+    rows = np.r_[0, g, i, i, i]
+    cols = np.r_[0, g, np.minimum(i + s_r, g), np.maximum(i - s_l, 0), i]
+    vals = np.r_[1.0, 1.0, np.repeat([p_right, p_left, p_stay], g - 1)]
+    p = coo_array((vals, (rows, cols)), shape=(n, n))
     labels = tuple(Fraction(i, s_r) for i in range(n))  # in tau units
     return AbsorbingChain(p, frozenset({0, g}), labels=labels)
 

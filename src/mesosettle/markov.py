@@ -1,8 +1,10 @@
 """Absorbing Markov chain algebra.
 
-Chains are stored dense; absorption moments are obtained from linear
-solves against (I - Q) rather than an explicit fundamental matrix, with
-a banded fast path for birth-death (tridiagonal) transient blocks.
+Every chain is stored as a CSR sparse array; the builders emit a few
+diagonals or (row, col, value) triplets, so no n x n dense array is ever
+formed.  Absorption moments come from one sparse LU factorisation of
+(I - Q), reused for both moment solves, and the absorption cdf
+propagates the state distribution by one sparse matvec per transition.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.sparse import coo_array, csr_array, issparse
+from scipy.sparse.linalg import splu
 
 __all__ = [
     "AbsorbingChain",
@@ -48,18 +51,20 @@ class AbsorbingChain:
 
     Parameters
     ----------
-    transitions : (n, n) row-stochastic matrix.
+    transitions : (n, n) row-stochastic matrix, dense or sparse; stored
+        as a read-only ``scipy.sparse.csr_array`` without explicit zeros.
     absorbing : indices of absorbing states.
     labels : optional per-state annotation (clock position in tau units,
         memory tag for extended-state chains).
     """
 
-    transitions: np.ndarray
+    transitions: csr_array
     absorbing: frozenset[int]
     labels: tuple | None = None
 
     def __post_init__(self):
-        p = np.asarray(self.transitions, dtype=float)
+        p = self.transitions
+        p = coo_array(p if issparse(p) else np.asarray(p, dtype=float), dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("transition matrix must be square")
         n = p.shape[0]
@@ -68,22 +73,30 @@ class AbsorbingChain:
             raise ValueError("chain has no absorbing state")
         if any(i < 0 or i >= n for i in absorbing):
             raise ValueError("absorbing index out of range")
-        deficits = np.abs(p.sum(axis=1) - 1.0)
+        p.sum_duplicates()
+        rows, cols, vals = p.row, p.col, p.data
+        sums = np.bincount(rows, weights=vals, minlength=n)
+        deficits = np.abs(sums - 1.0)
         if np.any(deficits > ROW_FIX_TOL):
             raise ValueError(
                 f"row sums deviate from 1 by up to {deficits.max():.3e}"
             )
         if np.any(deficits > ROW_SUM_TOL):
-            p = p / p.sum(axis=1, keepdims=True)
-        if np.any(p < -ROW_SUM_TOL):
+            vals = vals / sums[rows]
+        if np.any(vals < -ROW_SUM_TOL):
             raise ValueError("negative transition probability")
-        for i in absorbing:
-            row = np.zeros(n)
-            row[i] = 1.0
-            if not np.allclose(p[i], row, atol=ROW_SUM_TOL):
-                raise ValueError(f"absorbing state {i} has outgoing mass")
-            p[i] = row
-        p.setflags(write=False)
+        a_idx = np.array(sorted(absorbing))
+        in_a = np.isin(rows, a_idx)
+        # row sums already hold, so an absorbing row is a unit row once
+        # its off-diagonal mass is below tolerance
+        leak = in_a & (rows != cols) & (np.abs(vals) > ROW_SUM_TOL)
+        if leak.any():
+            raise ValueError(f"absorbing state {rows[leak][0]} has outgoing mass")
+        keep = ~in_a & (vals != 0.0)
+        rows, cols = np.r_[rows[keep], a_idx], np.r_[cols[keep], a_idx]
+        p = csr_array((np.r_[vals[keep], np.ones(a_idx.size)], (rows, cols)), shape=(n, n))
+        for a in (p.data, p.indices, p.indptr):
+            a.flags.writeable = False
         object.__setattr__(self, "transitions", p)
         object.__setattr__(self, "absorbing", absorbing)
         if not _absorbing_reachable(p, absorbing):
@@ -101,26 +114,25 @@ class AbsorbingChain:
         return np.flatnonzero(mask)
 
 
-def _absorbing_reachable(p: np.ndarray, absorbing: frozenset[int]) -> bool:
-    # reverse BFS from the absorbing set over the support graph
-    n = p.shape[0]
-    support = p > 0.0
-    reached = np.zeros(n, dtype=bool)
-    frontier = list(absorbing)
-    reached[frontier] = True
-    while frontier:
-        nxt = np.flatnonzero(support[:, frontier].any(axis=1) & ~reached)
-        reached[nxt] = True
-        frontier = list(nxt)
-    return bool(reached.all())
+def _absorbing_reachable(p: csr_array, absorbing: frozenset[int]) -> bool:
+    # grow the set of states with a path to absorption by one sparse
+    # matvec over the support graph per step, until it stops growing
+    support = (p > 0.0).astype(float)
+    reached = np.zeros(p.shape[0], dtype=bool)
+    reached[list(absorbing)] = True
+    while True:
+        grown = reached | (support @ reached > 0.0)
+        if np.array_equal(grown, reached):
+            return bool(reached.all())
+        reached = grown
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
     """Canonical block form [[Q, R], [0, I]] with index bookkeeping."""
 
-    q: np.ndarray
-    r: np.ndarray
+    q: csr_array
+    r: csr_array
     transient_order: np.ndarray
     absorbing_order: np.ndarray
 
@@ -131,10 +143,10 @@ def build_canonical(chain: AbsorbingChain) -> CanonicalForm:
     a_idx = np.array(sorted(chain.absorbing), dtype=int)
     if t_idx.size == 0:
         raise ValueError("chain has no transient states")
-    p = chain.transitions
-    q = p[np.ix_(t_idx, t_idx)].copy()
-    r = p[np.ix_(t_idx, a_idx)].copy()
-    return CanonicalForm(q=q, r=r, transient_order=t_idx, absorbing_order=a_idx)
+    rows = chain.transitions[t_idx]
+    return CanonicalForm(
+        q=rows[:, t_idx], r=rows[:, a_idx], transient_order=t_idx, absorbing_order=a_idx
+    )
 
 
 @dataclass(frozen=True)
@@ -166,41 +178,23 @@ def _position_of(order: np.ndarray, state: int) -> int:
     return int(pos[0])
 
 
-def _is_tridiagonal(q: np.ndarray) -> bool:
-    if q.shape[0] < 3:
-        return True
-    mask = q != 0.0
-    i, j = np.nonzero(mask)
-    return bool(np.all(np.abs(i - j) <= 1))
-
-
-def _solve_iq(q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - Q) x = rhs, banded when Q is tridiagonal."""
-    n = q.shape[0]
-    iq = np.eye(n) - q
-    if _is_tridiagonal(q):
-        ab = np.zeros((3, n))
-        ab[0, 1:] = np.diagonal(iq, 1)
-        ab[1] = np.diagonal(iq)
-        ab[2, :-1] = np.diagonal(iq, -1)
-        return solve_banded((1, 1), ab, rhs)
-    return np.linalg.solve(iq, rhs)
-
-
 def absorption_stats(chain: AbsorbingChain) -> AbsorptionStats:
     """Mean and variance of the number of transitions to absorption.
 
-    mean solves (I - Q) mean = 1.  The variance identity
-    (2N - I) mean - mean^2 is evaluated with a second solve
-    (I - Q) y = mean, giving N mean without forming N.
+    One sparse LU factorisation of (I - Q) serves both solves: mean
+    solves (I - Q) mean = 1, and the variance identity
+    (2N - I) mean - mean^2 takes N mean from (I - Q) y = mean, without
+    forming N.
     """
     canon = build_canonical(chain)
-    ones = np.ones(canon.q.shape[0])
+    m = canon.q.shape[0]
+    eye = csr_array((np.ones(m), (np.arange(m), np.arange(m))), shape=(m, m))
     try:
-        mean = _solve_iq(canon.q, ones)
-        y = _solve_iq(canon.q, mean)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded
+        lu = splu((eye - canon.q).tocsc())
+    except RuntimeError as exc:  # pragma: no cover - reachability rules it out
         raise ValueError("(I - Q) is singular") from exc
+    mean = lu.solve(np.ones(m))
+    y = lu.solve(mean)
     variance = 2.0 * y - mean - mean**2
     # clip parasitic negatives from cancellation on nearly-instant states
     variance = np.where(variance < 0.0, 0.0, variance)
@@ -229,12 +223,13 @@ def absorption_series(
     target_confidence: float | None = None,
     max_n: int = DEFAULT_MAX_TRANSITIONS,
 ) -> AbsorptionSeries:
-    """Absorption-probability time series by repeated vector-matrix products.
+    """Absorption-probability time series by repeated sparse matvecs.
 
-    The state distribution is propagated one transition at a time
-    (never forming a matrix power); cdf[n] is the mass on absorbing
-    states after n transitions.  Stops once cdf reaches
-    ``target_confidence``, else at ``max_n``.
+    The state distribution is propagated one transition at a time by
+    the transposed chain, transposed once per call (never forming a
+    matrix power); cdf[n] is the mass on absorbing states after n
+    transitions.  Stops once cdf reaches ``target_confidence``, else at
+    ``max_n``.
     """
     p0 = np.asarray(initial, dtype=float)
     if p0.shape != (chain.n_states,):
@@ -245,6 +240,7 @@ def absorption_series(
         raise ValueError("target confidence must lie strictly in (0, 1)")
 
     a_idx = np.array(sorted(chain.absorbing), dtype=int)
+    pt = chain.transitions.T.tocsr()
     p = p0.copy()
     cdf = [float(p[a_idx].sum())]
     while not (target_confidence is not None and cdf[-1] >= target_confidence):
@@ -257,7 +253,7 @@ def absorption_series(
                 f"{max_n} transitions (cdf = {cdf[-1]:.6g})",
                 partial,
             )
-        p = p @ chain.transitions
+        p = pt @ p
         cdf.append(float(p[a_idx].sum()))
     return _series_from_cdf(cdf, p0)
 

@@ -13,7 +13,7 @@ diagrams and folded crossing histograms for window extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -176,13 +176,15 @@ class TrialConfig:
     mismatch_percent: float = 0.0
     coarse_first: CoarseFirstSpec | None = None
     record_trajectory: bool = False
+    # (s_left, s_right) sub-steps of the mismatch, resolved once here
+    _substeps: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.step_tau <= 0:
             raise ValueError("step_tau must be positive")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be positive")
-        mismatch_substeps(self.mismatch_percent)
+        object.__setattr__(self, "_substeps", mismatch_substeps(self.mismatch_percent))
         if self.channel.kind == "rc_line":
             # the susceptibility window is measured off the waveform
             if self.window is not None:
@@ -417,7 +419,7 @@ def run_trial(config: TrialConfig, seed) -> TrialResult:
         traj = np.zeros(1) if config.record_trajectory else None
         return TrialResult(True, 0, "left", traj)
     trace = config.channel.require_trace()
-    s_l, s_r = mismatch_substeps(config.mismatch_percent)
+    s_l, s_r = config._substeps
     w = config.window.width_steps
     g = w * s_r
     feed = _BitFeed(config.source, rng)
@@ -459,7 +461,7 @@ def _rc_trial(config: TrialConfig, rng: np.random.Generator) -> TrialResult:
     hist = crossing_histogram(wave, spu)
     band, win_ui = hist.band_start_ui, hist.window_ui
 
-    s_l, s_r = mismatch_substeps(config.mismatch_percent)
+    s_l, s_r = config._substeps
     w = max(2, int(round(win_ui / config.step_tau)))
     init = config.initial_position if config.initial_position is not None else w // 2
     if not 0 < init < w:
@@ -530,7 +532,8 @@ def simulate_chain(
     Exit side is the absorbing state's rank (first = left).
     """
     rng = np.random.default_rng(base_seed)
-    cum = np.cumsum(chain.transitions, axis=1)
+    p = chain.transitions
+    ptr, cols = p.indptr, p.indices
     absorbing = sorted(chain.absorbing)
     states = np.full(trials, initial_state, dtype=np.int64)
     cycles = np.full(trials, -1, dtype=np.int64)
@@ -547,8 +550,11 @@ def simulate_chain(
         starts = np.flatnonzero(np.r_[True, cur_o[1:] != cur_o[:-1]])
         nxt = np.empty(idx.size, dtype=np.int64)
         for a, b in zip(starts, np.r_[starts[1:], cur_o.size]):
-            s = cur_o[a]
-            nxt[order[a:b]] = np.searchsorted(cum[s], u[order[a:b]], side="right")
+            # cumulative sums of the row's stored entries, in column order
+            lo, hi = ptr[cur_o[a]], ptr[cur_o[a] + 1]
+            k = np.searchsorted(np.cumsum(p.data[lo:hi]), u[order[a:b]], side="right")
+            # a draw at or above a row total just below 1 takes the last entry
+            nxt[order[a:b]] = cols[lo + np.minimum(k, hi - lo - 1)]
         states[idx] = nxt
         done = np.isin(nxt, absorbing)
         hit = idx[done]

@@ -280,6 +280,11 @@ def test_unknown_channel_preset_exits_2(tmp_path):
     assert rc == 2
 
 
+COMBINED = {"schema_version": 1, "model": "combined", "sigma_steps": 5, "w_ab_steps": 40}
+BIASED = {"schema_version": 1, "model": "biased", "width_steps": 40}
+MISMATCH = {"schema_version": 1, "technique": "mismatch", "width_steps": 40}
+
+
 @pytest.mark.parametrize(
     "command, cfg",
     [
@@ -288,8 +293,34 @@ def test_unknown_channel_preset_exits_2(tmp_path):
         ("simulate", simulate_cfg(source="explicit", pattern_bits=5)),
         ("analyze", {"schema_version": 1, "model": "isi1", "width_steps": 8, "confidence": 1.5}),
         ("sweep", {"schema_version": 1, "widths_steps": [1]}),
+        ("analyze", {**COMBINED, "trace_probabilities": 5}),
+        ("analyze", {**BIASED, "mismatch_percent": "ten"}),
+        ("analyze", {**BIASED, "mismatch_percent": [1]}),
+        ("compare", {**MISMATCH, "mismatch_percent": "ten"}),
+        ("compare", {**MISMATCH, "mismatch_percent": [1]}),
+        ("analyze", {"schema_version": 1, "model": "isi2", "sub_windows_percent_ui": 5}),
+        ("simulate", simulate_cfg(trials=0)),
+        ("eye", {"schema_version": 1, "channel": ["heavy"]}),
+        ("analyze", {"schema_version": 1, "model": "isi1", "width_steps": 8, "max_transitions": 0}),
+        ("analyze", {"schema_version": 1, "model": "isi1", "width_steps": 8, "max_transitions": -5}),
     ],
-    ids=["positions-scalar", "mismatch-list", "pattern-scalar", "confidence-above-1", "width-1"],
+    ids=[
+        "positions-scalar",
+        "mismatch-list",
+        "pattern-scalar",
+        "confidence-above-1",
+        "width-1",
+        "trace-probabilities-scalar",
+        "biased-mismatch-text",
+        "biased-mismatch-list",
+        "compare-mismatch-text",
+        "compare-mismatch-list",
+        "sub-windows-percent-scalar",
+        "config-trials-0",
+        "channel-list",
+        "max-transitions-0",
+        "max-transitions-negative",
+    ],
 )
 def test_bad_config_shape_exits_2(tmp_path, capsys, command, cfg):
     rc, _ = invoke(tmp_path, command, cfg, "--seed", "1")

@@ -14,7 +14,18 @@ from mesosettle.markov import (
     point_mass,
     transitions_for_confidence,
 )
-from mesosettle.jitter import WindowSpec, build_isi1_chain
+from mesosettle.jitter import (
+    CombinedJitterSpec,
+    GaussianJitterSpec,
+    WindowSpec,
+    build_biased_chain,
+    build_combined_chain,
+    build_gaussian_chain,
+    build_isi1_chain,
+    build_isi2_chain,
+    mismatch_substeps,
+)
+from mesosettle.reduction import compare_mismatch
 
 
 def three_state():
@@ -30,7 +41,7 @@ def test_canonical_decomposition():
     canon = build_canonical(three_state())
     assert canon.q.shape == (1, 1)
     assert canon.q[0, 0] == 0.5
-    assert np.array_equal(canon.r, [[0.25, 0.25]])
+    assert np.array_equal(canon.r.toarray(), [[0.25, 0.25]])
     assert list(canon.transient_order) == [0]
     assert sorted(canon.absorbing_order) == [1, 2]
 
@@ -182,10 +193,77 @@ def test_permutation_equivariance(width, rnd):
     perm = list(range(n))
     rnd.shuffle(perm)
     perm = np.array(perm)
-    p2 = np.zeros_like(chain.transitions)
-    p2[np.ix_(perm, perm)] = chain.transitions
+    dense = chain.transitions.toarray()
+    p2 = np.zeros_like(dense)
+    p2[np.ix_(perm, perm)] = dense
     chain2 = AbsorbingChain(p2, frozenset(int(perm[a]) for a in chain.absorbing))
     s1 = absorption_stats(chain)
     s2 = absorption_stats(chain2)
     for k in range(1, width):
         assert s2.mean_at(int(perm[k])) == pytest.approx(s1.mean_at(k), rel=1e-10)
+
+
+# one chain per builder, with the start position the CLI uses for it
+REFERENCE_CHAINS = {
+    "isi1-w40": (lambda: build_isi1_chain(WindowSpec(40)), 20),
+    "isi2-23-43-20": (lambda: build_isi2_chain(23, 43, 20), 43),
+    "gaussian-s20": (lambda: build_gaussian_chain(GaussianJitterSpec(sigma_steps=20)), 0),
+    "combined-5-40": (lambda: build_combined_chain(CombinedJitterSpec(5, 40)), 20),
+    "biased-w40-10pct": (lambda: build_biased_chain(build_isi1_chain(WindowSpec(40)), 10), 20),
+}
+
+
+def _start_at(chain, position):
+    """Uniform over the transient states labelled with a clock position."""
+    hits = [
+        i
+        for i, lab in enumerate(chain.labels)
+        if i not in chain.absorbing
+        and (lab[0] if isinstance(lab, tuple) else lab) == position
+    ]
+    p0 = np.zeros(chain.n_states)
+    p0[hits] = 1.0 / len(hits)
+    return p0
+
+
+def _dense_reference(chain, p0, confidence):
+    """Moments by dense solves and the cdf by dense propagation."""
+    p = chain.transitions.toarray()
+    t = chain.transient
+    a = sorted(chain.absorbing)
+    iq = np.eye(t.size) - p[np.ix_(t, t)]
+    mean = np.linalg.solve(iq, np.ones(t.size))
+    variance = 2.0 * np.linalg.solve(iq, mean) - mean - mean**2
+    x = p0.copy()
+    cdf = [x[a].sum()]
+    while cdf[-1] < confidence:
+        x = x @ p
+        cdf.append(x[a].sum())
+    return mean, variance, np.array(cdf)
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CHAINS))
+def test_sparse_path_matches_dense_reference(name):
+    build, position = REFERENCE_CHAINS[name]
+    chain = build()
+    p0 = _start_at(chain, position)
+    mean, variance, cdf = _dense_reference(chain, p0, 0.99)
+    stats = absorption_stats(chain)
+    np.testing.assert_allclose(stats.mean, mean, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(stats.variance, variance, rtol=1e-12, atol=0.0)
+    series = absorption_series(chain, p0, target_confidence=0.99)
+    assert series.cdf.shape == cdf.shape
+    np.testing.assert_allclose(series.cdf, cdf, rtol=0.0, atol=1e-12)
+    assert transitions_for_confidence(chain, p0, 0.99) == int(np.argmax(cdf >= 0.99))
+
+
+def test_wide_mismatch_chain_stays_sparse():
+    # 10 001 sub-grid states: a dense copy would take 0.8 GB
+    base = build_isi1_chain(WindowSpec(1000))
+    chain = build_biased_chain(base, 10)
+    assert chain.n_states == 1000 * mismatch_substeps(10)[1] + 1
+    assert chain.transitions.nnz <= 4 * chain.n_states
+    report = compare_mismatch(1000, 10)
+    k = np.arange(1, 1000)
+    np.testing.assert_allclose(report.baseline_mean, 2.0 * k * (1000 - k), rtol=1e-9)
+    assert report.at_position(500)["reduction_mean"] > 0.0
