@@ -72,11 +72,6 @@ def _write_json(path: str, obj: dict) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _say(args, msg: str) -> None:
-    if not args.quiet:
-        print(msg)
-
-
 def _pop(cfg: dict, key: str, default=_MISSING):
     if key in cfg:
         return cfg.pop(key)
@@ -87,7 +82,7 @@ def _pop(cfg: dict, key: str, default=_MISSING):
 
 def _done(cfg: dict, context: str) -> None:
     if cfg:
-        raise ConfigError(f"unknown {context} keys: {sorted(cfg)}")
+        raise ConfigError(f"unknown {context} keys: {sorted(map(str, cfg))}")
 
 
 def _load_config(path: str) -> dict:
@@ -115,22 +110,49 @@ def _as_int(v, key: str, low: int | None = None) -> int:
 
 
 def _as_float(v, key: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {v!r}")
+    # the bound also rejects nan, the infinities and ints too large for a float
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite number, got {v!r}")
     return float(v)
 
 
-def _as_floats(v, key: str, count: int) -> tuple[float, ...]:
-    if not isinstance(v, (list, tuple)) or len(v) != count:
-        raise ConfigError(f"{key} must be a list of {count} numbers, got {v!r}")
-    return tuple(_as_float(x, key) for x in v)
+# Typed readers: each pops `key` from `cfg` and checks its value.  Leaving
+# out a key with a None default, or setting it to null, reads as None.
+def _int(cfg: dict, key: str, default=_MISSING, low: int | None = None) -> int | None:
+    v = _pop(cfg, key, default)
+    return None if v is None and default is None else _as_int(v, key, low)
+
+
+def _float(cfg: dict, key: str, default=_MISSING) -> float | None:
+    v = _pop(cfg, key, default)
+    return None if v is None and default is None else _as_float(v, key)
+
+
+def _list(cfg: dict, key: str, item, count: int | None = None, default=_MISSING) -> list | None:
+    """A nonempty list, of `count` entries if given, each checked by `item`."""
+    v = _pop(cfg, key, default)
+    if v is None and default is None:
+        return None
+    if not isinstance(v, (list, tuple)) or not v or count not in (None, len(v)):
+        raise ConfigError(f"{key} must be a list of {count or 'one or more'} numbers, got {v!r}")
+    return [item(x, key) for x in v]
 
 
 def _confidence_from(cfg: dict) -> float:
-    confidence = _as_float(_pop(cfg, "confidence", 0.99), "confidence")
+    confidence = _float(cfg, "confidence", 0.99)
     if not 0.0 < confidence < 1.0:
         raise ConfigError(f"confidence must lie strictly in (0, 1), got {confidence!r}")
     return confidence
+
+
+def _max_transitions(cfg: dict) -> int:
+    return _int(cfg, "max_transitions", markov.DEFAULT_MAX_TRANSITIONS, 1)
+
+
+def _trials(cfg: dict, args, default: int) -> int:
+    """The config's trial count, overridden by --trials."""
+    trials = _int(cfg, "trials", default, 1)
+    return trials if args.trials is None else args.trials
 
 
 def _require_seed(args) -> int:
@@ -142,7 +164,7 @@ def _require_seed(args) -> int:
 def _source_from(cfg: dict) -> sim.BitSource:
     kind = _pop(cfg, "source", "bernoulli")
     if kind == "bernoulli":
-        return sim.BitSource.bernoulli(_as_float(_pop(cfg, "bit_probability", 0.5), "bit_probability"))
+        return sim.BitSource.bernoulli(_float(cfg, "bit_probability", 0.5))
     if kind == "training":
         return sim.BitSource.training_biased()
     if kind == "alternating":
@@ -156,14 +178,7 @@ def _source_from(cfg: dict) -> sim.BitSource:
 
 
 def _window_from(cfg: dict) -> jitter.WindowSpec:
-    width = _as_int(_pop(cfg, "width_steps"), "width_steps")
-    offset = _pop(cfg, "initial_offset_steps", None)
-    if offset is not None:
-        offset = _as_int(offset, "initial_offset_steps")
-    try:
-        return jitter.WindowSpec(width, offset)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return jitter.WindowSpec(_int(cfg, "width_steps"), _int(cfg, "initial_offset_steps", None))
 
 
 def _initial_vector(chain: markov.AbsorbingChain, position) -> np.ndarray:
@@ -192,50 +207,44 @@ def _chain_from(cfg: dict) -> tuple[markov.AbsorbingChain, object, dict]:
         init = window.initial
         desc["width_steps"] = window.width_steps
     elif model == "isi2":
-        subs = _pop(cfg, "sub_windows_steps", None)
+        subs = _list(cfg, "sub_windows_steps", _as_int, 3, None)
         if subs is None:
-            pct = _as_floats(_pop(cfg, "sub_windows_percent_ui"), "sub_windows_percent_ui", 3)
-            step = _as_float(_pop(cfg, "step_percent_ui", 0.35), "step_percent_ui")
-            subs = jitter.sub_windows_to_steps(pct, step)
-        if not (isinstance(subs, (list, tuple)) and len(subs) == 3):
-            raise ConfigError("sub_windows_steps must be three integers")
-        subs = tuple(_as_int(s, "sub_windows_steps") for s in subs)
+            pct = _list(cfg, "sub_windows_percent_ui", _as_float, 3)
+            subs = jitter.sub_windows_to_steps(pct, _float(cfg, "step_percent_ui", 0.35))
         chain = jitter.build_isi2_chain(*subs)
         width = sum(subs)
-        init = _pop(cfg, "initial_offset_steps", width // 2)
+        init = _int(cfg, "initial_offset_steps", width // 2)
         desc["sub_windows_steps"] = list(subs)
         desc["width_steps"] = width
     elif model == "gaussian":
         spec = jitter.GaussianJitterSpec(
-            sigma_steps=_as_float(_pop(cfg, "sigma_steps"), "sigma_steps"),
-            truncation_sigmas=_as_float(_pop(cfg, "truncation_sigmas", 3.0), "truncation_sigmas"),
-            transition_probability=_as_float(
-                _pop(cfg, "transition_probability", 0.5), "transition_probability"
-            ),
+            sigma_steps=_float(cfg, "sigma_steps"),
+            truncation_sigmas=_float(cfg, "truncation_sigmas", 3.0),
+            transition_probability=_float(cfg, "transition_probability", 0.5),
         )
         chain = jitter.build_gaussian_chain(spec)
-        init = _pop(cfg, "initial_offset_steps", 0)
+        init = _int(cfg, "initial_offset_steps", 0)
         desc["sigma_steps"] = spec.sigma_steps
     elif model == "combined":
-        probs = _pop(cfg, "trace_probabilities", [0.25, 0.25, 0.5])
         spec = jitter.CombinedJitterSpec(
-            sigma_steps=_as_float(_pop(cfg, "sigma_steps"), "sigma_steps"),
-            w_ab_steps=_as_int(_pop(cfg, "w_ab_steps"), "w_ab_steps"),
-            trace_probabilities=_as_floats(probs, "trace_probabilities", 3),
+            sigma_steps=_float(cfg, "sigma_steps"),
+            w_ab_steps=_int(cfg, "w_ab_steps"),
+            trace_probabilities=tuple(
+                _list(cfg, "trace_probabilities", _as_float, 3, [0.25, 0.25, 0.5])
+            ),
         )
         chain = jitter.build_combined_chain(spec)
-        init = _pop(cfg, "initial_offset_steps", spec.w_ab_steps // 2)
+        init = _int(cfg, "initial_offset_steps", spec.w_ab_steps // 2)
         desc["sigma_steps"] = spec.sigma_steps
         desc["w_ab_steps"] = spec.w_ab_steps
     elif model == "biased":
         window = _window_from(cfg)
-        mismatch = _pop(cfg, "mismatch_percent")
-        _as_float(mismatch, "mismatch_percent")  # the summary keeps it as written
-        base = jitter.build_isi1_chain(window)
-        chain = jitter.build_biased_chain(base, mismatch)
+        desc["mismatch_percent"] = cfg.get("mismatch_percent")  # the summary keeps it as written
+        chain = jitter.build_biased_chain(
+            jitter.build_isi1_chain(window), _float(cfg, "mismatch_percent")
+        )
         init = window.initial  # aligned on the tau grid
         desc["width_steps"] = window.width_steps
-        desc["mismatch_percent"] = mismatch
     else:
         raise ConfigError(f"unknown model {model!r}")
     return chain, init, desc
@@ -244,15 +253,10 @@ def _chain_from(cfg: dict) -> tuple[markov.AbsorbingChain, object, dict]:
 def cmd_analyze(args, outdir: str) -> dict:
     cfg = _load_config(args.config)
     confidence = _confidence_from(cfg)
-    max_transitions = _as_int(
-        _pop(cfg, "max_transitions", markov.DEFAULT_MAX_TRANSITIONS), "max_transitions", 1
-    )
-    try:
-        chain, init, desc = _chain_from(cfg)
-        _done(cfg, "analyze")
-        p0 = _initial_vector(chain, init)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    max_transitions = _max_transitions(cfg)
+    chain, init, desc = _chain_from(cfg)
+    _done(cfg, "analyze")
+    p0 = _initial_vector(chain, init)
 
     positions, mean, std = jitter.position_profile(chain)
     _write_csv(
@@ -284,25 +288,22 @@ def cmd_analyze(args, outdir: str) -> dict:
     }
 
 
-def _trial_config_from(cfg: dict, record: bool = False) -> tuple[sim.TrialConfig, dict]:
+def _trial_config_from(cfg: dict) -> tuple[sim.TrialConfig, dict]:
     window = _window_from(cfg)
     source = _source_from(cfg)
-    mismatch = _as_float(_pop(cfg, "mismatch_percent", 0), "mismatch_percent")
-    max_cycles = _as_int(_pop(cfg, "max_cycles", 1_000_000), "max_cycles")
-    coarse_cfg = _pop(cfg, "coarse", None)
-    coarse = None
-    if coarse_cfg is not None:
-        if not isinstance(coarse_cfg, dict):
-            raise ConfigError("coarse must be a mapping")
+    mismatch = _float(cfg, "mismatch_percent", 0)
+    max_cycles = _int(cfg, "max_cycles", 1_000_000)
+    coarse = _pop(cfg, "coarse", None)
+    if coarse is not None:
+        if not isinstance(coarse, dict):
+            raise ConfigError(f"coarse must be a mapping, got {coarse!r}")
+        nested = {f"coarse.{k}": v for k, v in coarse.items()}
         coarse = sim.CoarseFirstSpec(
-            coarse_step_steps=_as_int(coarse_cfg.pop("step_steps", 1), "coarse.step_steps"),
-            duration_cycles=_as_int(coarse_cfg.pop("duration_cycles"), "coarse.duration_cycles"),
+            _int(nested, "coarse.step_steps", 1), _int(nested, "coarse.duration_cycles")
         )
-        _done(coarse_cfg, "coarse")
-    sigma = _pop(cfg, "jitter_sigma_steps", None)
-    jit = None
-    if sigma is not None:
-        jit = jitter.GaussianJitterSpec(sigma_steps=_as_float(sigma, "jitter_sigma_steps"))
+        _done(nested, "coarse")
+    sigma = _float(cfg, "jitter_sigma_steps", None)
+    jit = None if sigma is None else jitter.GaussianJitterSpec(sigma_steps=sigma)
     trace = jitter.isi1_trace(window.width_steps)
     config = sim.TrialConfig(
         channel=sim.ChannelModel.discrete(trace, jitter=jit),
@@ -311,13 +312,12 @@ def _trial_config_from(cfg: dict, record: bool = False) -> tuple[sim.TrialConfig
         max_cycles=max_cycles,
         mismatch_percent=mismatch,
         coarse_first=coarse,
-        record_trajectory=record,
     )
     meta = {
         "window_steps": window.width_steps,
         "source": source.kind,
-        "mismatch_percent": float(mismatch),
-        "jitter_sigma_steps": None if jit is None else jit.sigma_steps,
+        "mismatch_percent": mismatch,
+        "jitter_sigma_steps": sigma,
         "coarse": coarse is not None,
         "max_cycles": max_cycles,
     }
@@ -334,24 +334,16 @@ def _default_positions(width: int) -> list[int]:
 def cmd_simulate(args, outdir: str) -> dict:
     seed = _require_seed(args)
     cfg = _load_config(args.config)
-    cfg_trials = _pop(cfg, "trials", 100)
-    trials = _as_int(args.trials if args.trials is not None else cfg_trials, "trials", 1)
-    positions = _pop(cfg, "positions_steps", None)
-    record = bool(_pop(cfg, "record_trajectory", True))
-    try:
-        base_config, meta = _trial_config_from(cfg)
-        _done(cfg, "simulate")
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    trials = _trials(cfg, args, 100)
+    positions = _list(cfg, "positions_steps", _as_int, default=None)
+    record = _pop(cfg, "record_trajectory", True)
+    if not isinstance(record, bool):
+        raise ConfigError(f"record_trajectory must be true or false, got {record!r}")
+    base_config, meta = _trial_config_from(cfg)
+    _done(cfg, "simulate")
     if positions is None:
         positions = _default_positions(base_config.window.width_steps)
-    elif not isinstance(positions, list) or not positions:
-        raise ConfigError(f"positions_steps must be a nonempty list, got {positions!r}")
-    positions = [_as_int(p, "positions_steps") for p in positions]
-    try:
-        configs = [replace(base_config, initial_position=p) for p in positions]
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    configs = [replace(base_config, initial_position=p) for p in positions]
     rows = []
     for i, (pos, cfg_i) in enumerate(zip(positions, configs)):
         res = sim.run_monte_carlo(cfg_i, trials, (seed, i))
@@ -394,29 +386,26 @@ def _channel_from(cfg: dict) -> sim.ChannelModel:
             )
         return sim.REFERENCE_CHANNELS[preset]
     return sim.ChannelModel.rc(
-        r=_as_float(_pop(cfg, "r_per_section", 1.0), "r_per_section"),
-        c=_as_float(_pop(cfg, "c_per_section_ui"), "c_per_section_ui"),
-        samples_per_ui=_as_int(_pop(cfg, "samples_per_ui"), "samples_per_ui"),
-        sections=_as_int(_pop(cfg, "sections", 20), "sections"),
+        r=_float(cfg, "r_per_section", 1.0),
+        c=_float(cfg, "c_per_section_ui"),
+        samples_per_ui=_int(cfg, "samples_per_ui"),
+        sections=_int(cfg, "sections", 20),
     )
 
 
 def cmd_eye(args, outdir: str) -> dict:
     seed = _require_seed(args)
     cfg = _load_config(args.config)
-    try:
-        channel = _channel_from(cfg)
-        source = _source_from(cfg)
-        bits_total = _as_int(_pop(cfg, "bits_total", 400), "bits_total")
-        warmup_ui = _as_int(_pop(cfg, "warmup_ui", 30), "warmup_ui")
-        bins = _as_int(_pop(cfg, "histogram_bins", 100), "histogram_bins")
-        gap = _as_float(_pop(cfg, "cluster_gap_ui", 0.02), "cluster_gap_ui")
-        segments = _as_int(_pop(cfg, "overlay_segments", 40), "overlay_segments")
-        _done(cfg, "eye")
-        if bits_total <= warmup_ui + 2:
-            raise ConfigError("bits_total must exceed warmup_ui by at least 3")
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    channel = _channel_from(cfg)
+    source = _source_from(cfg)
+    bits_total = _int(cfg, "bits_total", 400)
+    warmup_ui = _int(cfg, "warmup_ui", 30, 0)
+    bins = _int(cfg, "histogram_bins", 100, 1)
+    gap = _float(cfg, "cluster_gap_ui", 0.02)
+    segments = _int(cfg, "overlay_segments", 40, 1)
+    _done(cfg, "eye")
+    if bits_total <= warmup_ui + 2:
+        raise ConfigError("bits_total must exceed warmup_ui by at least 3")
 
     rng = np.random.default_rng(seed)
     bits = sim.generate_bits(source, bits_total, rng)
@@ -468,31 +457,24 @@ def cmd_compare(args, outdir: str) -> dict:
         "treated_std",
     ]
     if technique == "mismatch":
-        try:
-            width = _as_int(_pop(cfg, "width_steps"), "width_steps")
-            mismatch = _as_float(_pop(cfg, "mismatch_percent"), "mismatch_percent")
-            _done(cfg, "compare")
-            report = reduction.compare_mismatch(width, mismatch)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        width = _int(cfg, "width_steps")
+        mismatch = _float(cfg, "mismatch_percent")
+        _done(cfg, "compare")
+        report = reduction.compare_mismatch(width, mismatch)
         center = report.at_position(width // 2)
         summary = {
             "command": "compare",
             "technique": "mismatch",
             "width_steps": width,
-            "mismatch_percent": float(mismatch),
+            "mismatch_percent": mismatch,
             "center": center,
             "max_reduction_mean": float(report.reduction_mean.max()),
         }
     elif technique == "training":
         seed = _require_seed(args)
-        cfg_trials = _pop(cfg, "trials", 1000)
-        trials = _as_int(args.trials if args.trials is not None else cfg_trials, "trials", 1)
-        try:
-            config, meta = _trial_config_from(cfg)
-            _done(cfg, "compare")
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        trials = _trials(cfg, args, 1000)
+        config, meta = _trial_config_from(cfg)
+        _done(cfg, "compare")
         report, _, _ = reduction.compare_training(config, trials, seed)
         summary = {
             "command": "compare",
@@ -506,14 +488,11 @@ def cmd_compare(args, outdir: str) -> dict:
             "reduction_mean": _number(report.reduction_mean[0]),
         }
     elif technique == "coarse":
-        try:
-            window = _window_from(cfg)
-            confidence = _confidence_from(cfg)
-            period = _as_float(_pop(cfg, "divided_period_ns", 4.0), "divided_period_ns")
-            _done(cfg, "compare")
-            est = reduction.coarse_first_confidence(window, confidence, period)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        window = _window_from(cfg)
+        confidence = _confidence_from(cfg)
+        period = _float(cfg, "divided_period_ns", 4.0)
+        _done(cfg, "compare")
+        est = reduction.coarse_first_confidence(window, confidence, period)
         return {
             "command": "compare",
             "technique": "coarse",
@@ -540,19 +519,12 @@ def cmd_compare(args, outdir: str) -> dict:
 
 def cmd_sweep(args, outdir: str) -> dict:
     cfg = _load_config(args.config)
-    try:
-        widths = _pop(cfg, "widths_steps")
-        confidence = _confidence_from(cfg)
-        max_transitions = _as_int(
-            _pop(cfg, "max_transitions", markov.DEFAULT_MAX_TRANSITIONS), "max_transitions", 1
-        )
-        _done(cfg, "sweep")
-        if not isinstance(widths, (list, tuple)) or not widths:
-            raise ConfigError("widths_steps must be a nonempty list")
-        windows = [jitter.WindowSpec(_as_int(w, "widths_steps")) for w in widths]
-        chains = [jitter.build_isi1_chain(window) for window in windows]
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    widths = _list(cfg, "widths_steps", _as_int)
+    confidence = _confidence_from(cfg)
+    max_transitions = _max_transitions(cfg)
+    _done(cfg, "sweep")
+    windows = [jitter.WindowSpec(w) for w in widths]
+    chains = [jitter.build_isi1_chain(window) for window in windows]
 
     rows = []
     for window, chain in zip(windows, chains):
@@ -610,21 +582,21 @@ def main(argv=None) -> int:
         summary = _COMMANDS[args.command](args, args.out)
         path = os.path.join(args.out, "summary.json")
         _write_json(path, summary)
-    except ConfigError as e:
+    except (markov.ConfidenceNotReached, np.linalg.LinAlgError, FloatingPointError) as e:
+        # LinAlgError is a ValueError: caught here first, it stays a numerical failure
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return 3
+    except ValueError as e:
+        # every parameter the library sees comes from the config or the command
+        # line, so a value the library refuses is a config error
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except markov.ConfidenceNotReached as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
-    except (np.linalg.LinAlgError, FloatingPointError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 4
-    _say(args, f"wrote {path}")
+    if not args.quiet:
+        print(f"wrote {path}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -5,10 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesosettle.cli import main
 
@@ -247,6 +250,15 @@ def test_malformed_yaml_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_non_string_key_exits_2(tmp_path, capsys):
+    # written by hand: yaml.safe_dump cannot sort keys of mixed type
+    cfg_path = tmp_path / "keys.yaml"
+    cfg_path.write_text("schema_version: 1\nwidths_steps: [2]\n7: 1\nbogus: 2\n")
+    rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_wrong_schema_version_exits_2(tmp_path):
     rc, _ = invoke(tmp_path, "sweep", {"schema_version": 99, "widths_steps": [2]})
     assert rc == 2
@@ -283,6 +295,8 @@ def test_unknown_channel_preset_exits_2(tmp_path):
 COMBINED = {"schema_version": 1, "model": "combined", "sigma_steps": 5, "w_ab_steps": 40}
 BIASED = {"schema_version": 1, "model": "biased", "width_steps": 40}
 MISMATCH = {"schema_version": 1, "technique": "mismatch", "width_steps": 40}
+TRAINING = {"schema_version": 1, "technique": "training", "width_steps": 12, "trials": 4}
+EYE = {"schema_version": 1, "channel": "benign", "bits_total": 60}
 
 
 @pytest.mark.parametrize(
@@ -303,6 +317,24 @@ MISMATCH = {"schema_version": 1, "technique": "mismatch", "width_steps": 40}
         ("eye", {"schema_version": 1, "channel": ["heavy"]}),
         ("analyze", {"schema_version": 1, "model": "isi1", "width_steps": 8, "max_transitions": 0}),
         ("analyze", {"schema_version": 1, "model": "isi1", "width_steps": 8, "max_transitions": -5}),
+        ("simulate", simulate_cfg(coarse={})),
+        ("simulate", simulate_cfg(coarse={"step_steps": 2})),
+        ("simulate", simulate_cfg(coarse={"duration_cycles": 10}, jitter_sigma_steps=1.0)),
+        ("compare", {**TRAINING, "trials": 1}),
+        ("eye", {**EYE, "source": "explicit", "pattern_bits": [1]}),
+        ("eye", {**EYE, "histogram_bins": 0}),
+        ("eye", {**EYE, "histogram_bins": -1}),
+        ("eye", {**EYE, "warmup_ui": -1}),
+        ("eye", {"schema_version": 1, "c_per_section_ui": 0.001, "samples_per_ui": 16}),
+        ("analyze", {"schema_version": 1, "model": "gaussian", "sigma_steps": float("inf")}),
+        ("compare", {**TRAINING, "jitter_sigma_steps": float("inf")}),
+        ("simulate", simulate_cfg(record_trajectory="no")),
+        ("analyze", {"schema_version": 1, "model": "isi2", "sub_windows_steps": [3, 4, 3],
+                     "initial_offset_steps": True}),
+        ("analyze", {"schema_version": 1, "model": "gaussian", "sigma_steps": 4,
+                     "initial_offset_steps": True}),
+        ("analyze", {**COMBINED, "initial_offset_steps": True}),
+        ("eye", {**EYE, "overlay_segments": -3}),
     ],
     ids=[
         "positions-scalar",
@@ -320,12 +352,99 @@ MISMATCH = {"schema_version": 1, "technique": "mismatch", "width_steps": 40}
         "channel-list",
         "max-transitions-0",
         "max-transitions-negative",
+        "coarse-empty",
+        "coarse-no-duration",
+        "coarse-with-jitter",
+        "training-trials-1",
+        "eye-no-crossings",
+        "histogram-bins-0",
+        "histogram-bins-negative",
+        "warmup-negative",
+        "ladder-step-exceeds-rc",
+        "gaussian-sigma-inf",
+        "training-jitter-inf",
+        "record-trajectory-text",
+        "isi2-offset-bool",
+        "gaussian-offset-bool",
+        "combined-offset-bool",
+        "overlay-segments-negative",
     ],
 )
 def test_bad_config_shape_exits_2(tmp_path, capsys, command, cfg):
     rc, _ = invoke(tmp_path, command, cfg, "--seed", "1")
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+# Wrong types, edge integers, non-finite numbers, lists and mappings.  No
+# value is large: a large width, sample rate or bin count makes a run slow,
+# which is a cost question rather than a config error.
+FUZZ_POOL = [
+    -1, 0, 1, 2, 3, 16, 0.5, 2.5, -0.5, float("nan"), float("inf"), float("-inf"),
+    True, False, None, "x", "", [], [1], [1, 2, 3], {}, {"duration_cycles": 10},
+]
+SIM_KEYS = ["source", "bit_probability", "pattern_bits", "mismatch_percent",
+            "jitter_sigma_steps", "initial_offset_steps", "coarse"]
+# (command, a valid config with the keys that set the cost pinned small,
+#  documented keys whose values are drawn)
+FUZZ_BASES = [
+    ("analyze", {"model": "isi1", "width_steps": 8},
+     ["confidence", "max_transitions", "initial_offset_steps"]),
+    ("analyze", {"model": "isi2", "sub_windows_steps": [3, 4, 3]},
+     ["sub_windows_steps", "initial_offset_steps", "confidence"]),
+    ("analyze", {"model": "isi2", "sub_windows_percent_ui": [1, 2, 1]},
+     ["sub_windows_percent_ui", "step_percent_ui", "initial_offset_steps"]),
+    ("analyze", {"model": "gaussian", "sigma_steps": 2.5},
+     ["sigma_steps", "truncation_sigmas", "transition_probability", "initial_offset_steps"]),
+    ("analyze", {"model": "combined", "sigma_steps": 2, "w_ab_steps": 8},
+     ["sigma_steps", "w_ab_steps", "trace_probabilities", "initial_offset_steps"]),
+    ("analyze", {"model": "biased", "width_steps": 8, "mismatch_percent": 10},
+     ["mismatch_percent", "initial_offset_steps", "max_transitions"]),
+    ("sweep", {"widths_steps": [2, 5, 8]}, ["confidence", "max_transitions"]),
+    ("simulate", {"width_steps": 8, "trials": 3, "max_cycles": 2000},
+     [*SIM_KEYS, "positions_steps", "record_trajectory"]),
+    ("compare", {"technique": "training", "width_steps": 8, "trials": 3, "max_cycles": 2000},
+     SIM_KEYS),
+    ("compare", {"technique": "mismatch", "width_steps": 8, "mismatch_percent": 10},
+     ["mismatch_percent"]),
+    ("compare", {"technique": "coarse", "width_steps": 5},
+     ["confidence", "divided_period_ns", "initial_offset_steps"]),
+    ("eye", {"channel": "benign", "bits_total": 60},
+     ["channel", "source", "bit_probability", "pattern_bits", "warmup_ui",
+      "histogram_bins", "cluster_gap_ui", "overlay_segments"]),
+    ("eye", {"c_per_section_ui": 0.02, "samples_per_ui": 256, "sections": 4, "bits_total": 60},
+     ["c_per_section_ui", "samples_per_ui", "sections", "r_per_section", "warmup_ui"]),
+]
+
+
+def test_fuzz_bases_run(tmp_path):
+    # the fuzz test starts from these; each must run, or it only tests rejections
+    for i, (command, base, _) in enumerate(FUZZ_BASES):
+        rc, _ = invoke(tmp_path, command, {"schema_version": 1, **base}, "--seed", "1", tag=f"b{i}")
+        assert rc == 0, (command, base)
+
+
+@st.composite
+def fuzz_configs(draw):
+    command, base, keys = draw(st.sampled_from(FUZZ_BASES))
+    cfg = {"schema_version": 1, **base}
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+        cfg[key] = draw(st.sampled_from(FUZZ_POOL))
+    # not always: an unknown key stops every run before the library sees a value
+    if draw(st.booleans()):
+        cfg["unknown_key"] = draw(st.sampled_from(FUZZ_POOL))
+    return command, cfg
+
+
+@given(fuzz_configs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_any_config_exits_cleanly(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, out = invoke(Path(tmp), command, cfg, "--seed", "1")
+        assert rc in (0, 2, 3, 4)
+        if rc == 0:
+            json.loads((out / "summary.json").read_text(), parse_constant=_reject_nan)
 
 
 def test_oversized_seed_exits_2(tmp_path):
