@@ -95,7 +95,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"malformed YAML: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping")
-    version = _pop(cfg, "schema_version")
+    version = _int(cfg, "schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}")
     return cfg

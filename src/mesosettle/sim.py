@@ -452,14 +452,12 @@ def _rc_trial(config: TrialConfig, rng: np.random.Generator) -> TrialResult:
     """Trial over a physical line: crossings are measured off the waveform.
 
     A bernoulli calibration burst locates the susceptibility band; the
-    payload then runs through the same filter state so the line never
+    payload then runs through the same line state so the line never
     resets.  Window width in steps comes from the measured band width.
     """
-    spu = config.channel.samples_per_ui
     line = _RcLine(config.channel)
-    wave = line.push(rng.random(_RC_CAL_UI) < 0.5)
-    hist = crossing_histogram(wave, spu)
-    band, win_ui = hist.band_start_ui, hist.window_ui
+    hist = _fold_crossings(line.crossings(rng.random(_RC_CAL_UI) < 0.5))
+    win_ui = hist.window_ui
 
     s_l, s_r = config._substeps
     w = max(2, int(round(win_ui / config.step_tau)))
@@ -468,26 +466,30 @@ def _rc_trial(config: TrialConfig, rng: np.random.Generator) -> TrialResult:
         raise ValueError(
             f"initial position must lie strictly inside the measured {w}-step window"
         )
-    scale = s_r / config.step_tau
-    feed = _BitFeed(config.source, rng)
-    prev = wave[-1]
+    events = _rc_events(line, _BitFeed(config.source, rng), hist.band_start_ui, win_ui,
+                        s_r / config.step_tau)
+    return _walk([(events, config.max_cycles, s_r, s_l)], init * s_r, w, s_r, rng,
+                 config.record_trajectory)
+
+
+def _rc_events(line: _RcLine, feed, band: float, win_ui: float, scale: float):
+    """Crossing producer of an RC line: the first crossing of each cycle,
+    placed relative to the band start and scaled to sub-steps."""
+    last = -2  # cycle of the previous chunk's last crossing, counted from this chunk
 
     def events(n: int) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal prev
-        y = line.push(feed.take(n))
-        s = np.r_[prev, y] - 0.5
-        prev = y[-1]
-        flips = np.nonzero(np.signbit(s[:-1]) != np.signbit(s[1:]))[0]
-        # fractional crossing times, shifted by the one-sample lookback
-        t_ui = (flips + s[flips] / (s[flips] - s[flips + 1]) - 1.0) / spu
+        nonlocal last
+        t_ui = line.crossings(feed.take(n))
         ui = np.floor(t_ui).astype(np.int64)
-        first = np.diff(ui, prepend=-2) != 0  # first crossing per cycle
+        # a lookback crossing (ui -1) is first only if the previous chunk
+        # gave its cycle none
+        first = np.diff(ui, prepend=last) != 0
+        last = (ui[-1] if ui.size else last) - n
         x = (t_ui[first] % 1.0 - band) % 1.0
         x = np.where(x > (win_ui + 1.0) / 2, x - 1.0, x)  # just left of the band start
         return ui[first], x * scale
 
-    return _walk([(events, config.max_cycles, s_r, s_l)], init * s_r, w, s_r, rng,
-                 config.record_trajectory)
+    return events
 
 
 def _trial_seed(base_seed, k: int):
@@ -592,28 +594,85 @@ def _rc_system(channel: ChannelModel) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return gain, mu, q[-1, :]
 
 
+# room the crossing screen leaves for rounding in the closed-form samples
+_SCREEN_MARGIN = 1e-9
+# samples evaluated at once when screening for crossings
+_BLOCK_SAMPLES = 1 << 20
+
+
 class _RcLine:
-    """The ladder's modal filter bank; its state carries from one push to the next."""
+    """The ladder stepped one UI at a time; its state carries from one call to the next.
+
+    The input is constant within a UI, so a mode with per-sample pole mu
+    and DC level s per unit input (gain / (1 - mu)) that starts a UI at
+    s*u + d sits at s*u + mu**(j+1) * d after the UI's sample j.  The
+    modal state therefore advances with one UI-rate filter per mode, pole
+    mu**spu, and any UI's samples follow in closed form from its start.
+    """
 
     def __init__(self, channel: ChannelModel):
         self.spu = channel.samples_per_ui
-        self.gain, self.mu, self.wout = _rc_system(channel)
-        self.state = np.zeros((self.gain.size, 1))
+        gain, mu, self.wout = _rc_system(channel)
+        self.level = gain / (1.0 - mu)
+        self.pole = mu**self.spu
+        self.dc = float(self.wout @ self.level)
+        # (spu, modes): each mode's decay to sample j, weighted by its output tap
+        self.decay = mu ** np.arange(1, self.spu + 1)[:, None] * self.wout
+        self.state = np.zeros(mu.size)
 
-    def push(self, bits: np.ndarray) -> np.ndarray:
-        u = np.repeat(np.asarray(bits, dtype=float), self.spu)
-        out = np.zeros(u.size)
-        for i in range(self.gain.size):
-            y, self.state[i] = lfilter([self.gain[i]], [1.0, -self.mu[i]], u, zi=self.state[i])
-            out += self.wout[i] * y
-        return out
+    def _step(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Input per UI and each mode's deviation d from its DC level at the
+        UI's start, (UIs, modes); the state moves to the end of the bits."""
+        u = np.asarray(bits, dtype=float)
+        ends = np.empty((u.size, self.state.size))
+        for i, p in enumerate(self.pole):
+            ends[:, i], _ = lfilter(
+                [self.level[i] * (1.0 - p)], [1.0, -p], u, zi=[p * self.state[i]]
+            )
+        starts = np.vstack([self.state, ends])
+        self.state = starts[-1]
+        return u, starts[:-1] - u[:, None] * self.level
+
+    def _samples(self, dev: np.ndarray, level: np.ndarray) -> np.ndarray:
+        """(UIs, spu) samples of UIs with deviations dev, offset by level per UI."""
+        return dev @ self.decay.T + level[:, None]
+
+    def waveform(self, bits: np.ndarray) -> np.ndarray:
+        u, dev = self._step(bits)
+        return self._samples(dev, self.dc * u).ravel()
+
+    def crossings(self, bits: np.ndarray) -> np.ndarray:
+        """Linearly interpolated crossings of 0.5, in UI from the start of bits.
+
+        The sample before the first one is the previous call's last, so a
+        crossing between the two lands just before 0.  Samples are computed
+        only in UIs that can cross: every sample of a UI, and the one before
+        it, lies within sum |w * d| of its settled level dc * u.
+        """
+        u, dev = self._step(bits)
+        level = self.dc * u - 0.5
+        before = dev @ self.wout + level
+        # a UI whose end samples straddle the threshold passes this test too
+        keep = np.flatnonzero(np.abs(level) <= np.abs(dev) @ np.abs(self.wout) + _SCREEN_MARGIN)
+        times = [np.empty(0)]
+        rows = max(1, _BLOCK_SAMPLES // self.spu)
+        for lo in range(0, keep.size, rows):
+            k = keep[lo : lo + rows]
+            s = np.empty((k.size, self.spu + 1))
+            s[:, 0] = before[k]
+            s[:, 1:] = self._samples(dev[k], level[k])
+            r, j = np.nonzero(np.signbit(s[:, :-1]) != np.signbit(s[:, 1:]))
+            frac = s[r, j] / (s[r, j] - s[r, j + 1])
+            # column j holds sample j - 1 of its UI
+            times.append((k[r] * self.spu + j + frac - 1.0) / self.spu)
+        return np.concatenate(times)
 
 
 def propagate_rc(channel: ChannelModel, bits: np.ndarray) -> np.ndarray:
     """NRZ bits through the RC ladder from rest; returns the far-end waveform."""
     if channel.kind != "rc_line":
         raise ValueError("propagate_rc needs an rc_line channel")
-    return _RcLine(channel).push(bits)
+    return _RcLine(channel).waveform(bits)
 
 
 def eye_traces(
@@ -670,6 +729,13 @@ def crossing_histogram(
     s = np.asarray(waveform, dtype=float) - threshold
     flips = np.nonzero(np.signbit(s[:-1]) != np.signbit(s[1:]))[0]
     t = (flips + s[flips] / (s[flips] - s[flips + 1])) / samples_per_ui
+    return _fold_crossings(t, warmup_ui=warmup_ui, bins=bins, cluster_gap_ui=cluster_gap_ui)
+
+
+def _fold_crossings(
+    t: np.ndarray, *, warmup_ui: int = 30, bins: int = 100, cluster_gap_ui: float = 0.02
+) -> EyeHistogram:
+    """crossing_histogram's folding and clustering of crossing times in UI."""
     t = t[t >= warmup_ui]
     if t.size == 0:
         raise ValueError("waveform contains no threshold crossings after warmup")

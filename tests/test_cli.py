@@ -335,6 +335,8 @@ EYE = {"schema_version": 1, "channel": "benign", "bits_total": 60}
                      "initial_offset_steps": True}),
         ("analyze", {**COMBINED, "initial_offset_steps": True}),
         ("eye", {**EYE, "overlay_segments": -3}),
+        ("sweep", {"schema_version": True, "widths_steps": [2, 5]}),
+        ("sweep", {"schema_version": 1.0, "widths_steps": [2, 5]}),
     ],
     ids=[
         "positions-scalar",
@@ -368,6 +370,8 @@ EYE = {"schema_version": 1, "channel": "benign", "bits_total": 60}
         "gaussian-offset-bool",
         "combined-offset-bool",
         "overlay-segments-negative",
+        "schema-version-bool",
+        "schema-version-float",
     ],
 )
 def test_bad_config_shape_exits_2(tmp_path, capsys, command, cfg):

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
+
+from mesosettle import sim
 
 from mesosettle.jitter import (
     ISI1_TABLE,
@@ -123,6 +126,84 @@ def test_rc_rejects_coarse_time_step():
         ChannelModel.rc(r=1.0, c=0.005, samples_per_ui=8)
     with pytest.raises(ValueError):
         propagate_rc(ChannelModel.discrete(isi1_trace(4)), np.ones(4))
+
+
+def per_sample_wave(chan, bits):
+    """The ladder's per-sample backward-Euler filter bank: the reference the
+    UI-rate closed form is checked against."""
+    gain, mu, wout = sim._rc_system(chan)
+    u = np.repeat(np.asarray(bits, dtype=float), chan.samples_per_ui)
+    return sum(w * lfilter([g], [1.0, -m], u) for g, m, w in zip(gain, mu, wout))
+
+
+def threshold_crossings(wave, spu):
+    s = wave - 0.5
+    f = np.flatnonzero(np.signbit(s[:-1]) != np.signbit(s[1:]))
+    return (f + s[f] / (s[f] - s[f + 1])) / spu
+
+
+ORACLE_CHANNELS = {
+    **REFERENCE_CHANNELS,
+    "ladder8": ChannelModel.rc(r=1.0, c=0.02, samples_per_ui=256, sections=8),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CHANNELS))
+def test_rc_line_matches_per_sample_filter(name):
+    chan = ORACLE_CHANNELS[name]
+    a, b = np.random.default_rng(21).integers(0, 2, (2, 400))
+    inputs = {
+        "bernoulli": a,
+        "superposed": a + b,  # levels 0, 1 and 2
+        "runs": np.r_[np.ones(60, int), np.zeros(40, int), a[:100], np.ones(20, int)],
+    }
+    for label, bits in inputs.items():
+        ref = per_sample_wave(chan, bits)
+        assert np.abs(propagate_rc(chan, bits) - ref).max() < 1e-12, label
+        # the crossings-only path screens out UIs; it must miss none
+        expected = threshold_crossings(ref, chan.samples_per_ui)
+        got = sim._RcLine(chan).crossings(bits)
+        assert got.size == expected.size, label
+        assert np.array_equal(np.floor(got), np.floor(expected)), label
+        assert np.abs(got - expected).max() < 1e-12, label
+
+
+class FixedFeed:
+    def __init__(self, bits):
+        self.bits, self.at = bits, 0
+
+    def take(self, n):
+        self.at += n
+        return self.bits[self.at - n : self.at]
+
+
+def first_crossing_stream(chan, bits, chunk):
+    """(cycle, position) of each cycle's first crossing, fed chunk UIs at a time."""
+    events = sim._rc_events(sim._RcLine(chan), FixedFeed(bits), 0.0, 0.5, 1.0)
+    cycles, positions = [], []
+    for base in range(0, bits.size, chunk):
+        t, c = events(min(chunk, bits.size - base))
+        cycles.append(base + t)
+        positions.append(c)
+    return np.concatenate(cycles), np.concatenate(positions)
+
+
+def test_rc_first_crossings_do_not_depend_on_chunking():
+    # this ladder's crossing band spans the UI seam, so some crossings fall
+    # between a UI's last sample and the next UI's first (a lookback
+    # crossing at a chunk start) after an earlier crossing in the same cycle
+    chan = ChannelModel.rc(r=1.0, c=0.1, samples_per_ui=64, sections=8)
+    bits = np.random.default_rng(0).integers(0, 2, 2048)
+    t = sim._RcLine(chan).crossings(bits)
+    ui = np.floor(t)
+    second = np.flatnonzero(ui[1:] == ui[:-1]) + 1
+    assert (t[second] % 1.0 > 1.0 - 1.0 / chan.samples_per_ui).any()
+    ref_cycles, ref_positions = first_crossing_stream(chan, bits, 1024)
+    assert np.array_equal(ref_cycles, np.unique(ui))
+    for chunk in (1, 7):
+        cycles, positions = first_crossing_stream(chan, bits, chunk)
+        assert np.array_equal(cycles, ref_cycles), chunk
+        assert np.allclose(positions, ref_positions, rtol=0.0, atol=1e-9), chunk
 
 
 # ------------------------------------------------------------ crossings
