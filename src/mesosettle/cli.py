@@ -339,6 +339,9 @@ def cmd_simulate(args, outdir: str) -> dict:
     record = _pop(cfg, "record_trajectory", True)
     if not isinstance(record, bool):
         raise ConfigError(f"record_trajectory must be true or false, got {record!r}")
+    if "initial_offset_steps" in cfg:
+        raise ConfigError("simulate takes its start positions from positions_steps, "
+                          "not initial_offset_steps")
     base_config, meta = _trial_config_from(cfg)
     _done(cfg, "simulate")
     if positions is None:

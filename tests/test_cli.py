@@ -337,6 +337,7 @@ EYE = {"schema_version": 1, "channel": "benign", "bits_total": 60}
         ("eye", {**EYE, "overlay_segments": -3}),
         ("sweep", {"schema_version": True, "widths_steps": [2, 5]}),
         ("sweep", {"schema_version": 1.0, "widths_steps": [2, 5]}),
+        ("simulate", simulate_cfg(initial_offset_steps=4)),
     ],
     ids=[
         "positions-scalar",
@@ -372,6 +373,7 @@ EYE = {"schema_version": 1, "channel": "benign", "bits_total": 60}
         "overlay-segments-negative",
         "schema-version-bool",
         "schema-version-float",
+        "simulate-initial-offset",
     ],
 )
 def test_bad_config_shape_exits_2(tmp_path, capsys, command, cfg):

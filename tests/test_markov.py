@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mesosettle.markov import (
+    DEFAULT_MAX_TRANSITIONS,
     AbsorbingChain,
     ConfidenceNotReached,
     absorption_series,
@@ -255,6 +256,106 @@ def test_sparse_path_matches_dense_reference(name):
     assert series.cdf.shape == cdf.shape
     np.testing.assert_allclose(series.cdf, cdf, rtol=0.0, atol=1e-12)
     assert transitions_for_confidence(chain, p0, 0.99) == int(np.argmax(cdf >= 0.99))
+
+
+def _per_step_cdf(chain, p0, target=None, max_n=DEFAULT_MAX_TRANSITIONS):
+    """The cdf by one sparse matvec per transition: the propagation the
+    blocked series replaced, kept as its oracle."""
+    a_idx = np.array(sorted(chain.absorbing), dtype=int)
+    pt = chain.transitions.T.tocsr()
+    p = p0.copy()
+    cdf = [float(p[a_idx].sum())]
+    while not (target is not None and cdf[-1] >= target) and len(cdf) - 1 < max_n:
+        p = pt @ p
+        cdf.append(float(p[a_idx].sum()))
+    return np.array(cdf)
+
+
+def _assert_matches_per_step(chain, p0, target=None, max_n=DEFAULT_MAX_TRANSITIONS):
+    want = _per_step_cdf(chain, p0, target, max_n)
+    if target is None or want[-1] >= target:
+        series = absorption_series(chain, p0, target_confidence=target, max_n=max_n)
+    else:
+        with pytest.raises(ConfidenceNotReached) as exc:
+            absorption_series(chain, p0, target_confidence=target, max_n=max_n)
+        series = exc.value.partial
+    assert series.cdf.size == want.size
+    assert series.cdf[0] == p0[sorted(chain.absorbing)].sum()
+    np.testing.assert_allclose(series.cdf, want, rtol=0.0, atol=1e-12)
+    return series
+
+
+# the chains and starts of the bench's analytic workload: its analyze jobs
+# and its sweep (isi1 from the centre, widths 2 to 300)
+BENCH_CHAINS = {
+    **REFERENCE_CHAINS,
+    **{
+        f"isi1-w{w}": (lambda w=w: build_isi1_chain(WindowSpec(w)), w // 2)
+        for w in (2, 5, 100, 200, 300)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(BENCH_CHAINS))
+def test_blocked_series_matches_per_step_on_bench_chains(name):
+    build, position = BENCH_CHAINS[name]
+    chain = build()
+    _assert_matches_per_step(chain, _start_at(chain, position), 0.99)
+
+
+@pytest.mark.parametrize("start", ["centre", "edge"])
+def test_blocked_series_matches_per_step_on_narrow_isi1(start):
+    for width in range(2, 65):
+        chain = build_isi1_chain(WindowSpec(width))
+        position = width // 2 if start == "centre" else 1
+        _assert_matches_per_step(chain, point_mass(chain, position), 0.99)
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 15, 16, 17, 50])
+def test_blocked_series_cut_at_max_n(max_n):
+    for build, position in (REFERENCE_CHAINS["isi1-w40"], REFERENCE_CHAINS["isi2-23-43-20"]):
+        chain = build()
+        p0 = _start_at(chain, position)
+        assert _assert_matches_per_step(chain, p0, None, max_n).cdf.size == max_n + 1
+        assert _assert_matches_per_step(chain, p0, 0.99, max_n).cdf.size == max_n + 1
+
+
+def test_blocked_series_with_absorbed_start_mass():
+    chain = build_isi1_chain(WindowSpec(40))
+    p0 = 0.3 * point_mass(chain, 0) + 0.7 * point_mass(chain, 20)
+    series = _assert_matches_per_step(chain, p0, 0.99)
+    assert series.cdf[0] == 0.3
+    # a start that already meets the target stops at n = 0
+    p0 = 0.995 * point_mass(chain, 40) + 0.005 * point_mass(chain, 20)
+    assert _assert_matches_per_step(chain, p0, 0.99).cdf.size == 1
+    assert transitions_for_confidence(chain, p0, 0.99) == 0
+
+
+@pytest.mark.parametrize(
+    "name, expected", [("isi2-23-43-20", 17508), ("biased-w40-10pct", 9594)]
+)
+def test_deep_budget_matches_per_step(name, expected):
+    build, position = REFERENCE_CHAINS[name]
+    chain = build()
+    p0 = _start_at(chain, position)
+    assert _assert_matches_per_step(chain, p0, 1 - 1e-9).n_transitions == expected
+    assert transitions_for_confidence(chain, p0, 1 - 1e-9) == expected
+
+
+def test_deep_budget_matches_lazy_walk_spectrum():
+    # survival of the lazy walk from k: sum_j c_j lambda_j^n with
+    # lambda_j = 1/2 + cos(j pi / N) / 2; at width 200 the first n with
+    # cdf >= 1 - 1e-9 clears the target by 1.2e-14, less than the 2.9e-14
+    # the per-step propagation accumulates by then, which gives 339865
+    width, k, confidence = 200, 100, 1 - 1e-9
+    j = np.arange(1, width)
+    lam = 0.5 + 0.5 * np.cos(j * np.pi / width)
+    modes = np.sin(np.outer(j, j) * np.pi / width)  # [j - 1, state - 1]
+    c = 2.0 / width * modes[:, k - 1] * modes.sum(axis=1)
+    chain = build_isi1_chain(WindowSpec(width))
+    n = transitions_for_confidence(chain, point_mass(chain, k), confidence)
+    assert n == 339866
+    assert 1.0 - np.sum(c * lam ** (n - 1)) < confidence <= 1.0 - np.sum(c * lam**n)
 
 
 def test_wide_mismatch_chain_stays_sparse():
