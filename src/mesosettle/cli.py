@@ -354,10 +354,10 @@ def cmd_simulate(args, outdir: str) -> dict:
         stats = (None, None, None)
         if res.escaped_mask.any():
             stats = (res.mean_cycles, res.std_cycles, res.stderr_cycles)
-        rows.append((pos, *stats, trials))
+        rows.append((pos, *stats, trials, res.n_escaped))
     _write_csv(
         os.path.join(outdir, "escape_stats.csv"),
-        ["position", "mean", "std", "stderr", "trials"],
+        ["position", "mean", "std", "stderr", "trials", "escaped"],
         rows,
     )
 
@@ -478,13 +478,15 @@ def cmd_compare(args, outdir: str) -> dict:
         trials = _trials(cfg, args, 1000)
         config, meta = _trial_config_from(cfg)
         _done(cfg, "compare")
-        report, _, _ = reduction.compare_training(config, trials, seed)
+        report, baseline, treated = reduction.compare_training(config, trials, seed)
         summary = {
             "command": "compare",
             "technique": "training",
             **meta,
             "seed": seed,
             "trials": trials,
+            "baseline_escaped": baseline.n_escaped,
+            "treated_escaped": treated.n_escaped,
             "p_value": _number(report.p_value),
             "baseline_mean": _number(report.baseline_mean[0]),
             "treated_mean": _number(report.treated_mean[0]),

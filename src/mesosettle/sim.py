@@ -1,14 +1,20 @@
 """Behavioral Monte Carlo of the retiming loop plus waveform utilities.
 
-Every trial is a crossing-stream producer feeding one walk kernel.  A
-producer gives, a chunk of bit cycles at a time, the cycle and position
-of each data crossing: read off a discrete trace's transition table
-(with optional Gaussian jitter), held through quiet cycles by the
-coarse-acquisition latch, or measured off an RC ladder's waveform.  The
-kernel, ``_walk``, moves the clock by the same phase-detector rule as
-the chain builders and owns the chunk schedule, escape detection and
-the trajectory.  Waveform helpers drive the RC ladder to produce eye
-diagrams and folded crossing histograms for window extraction.
+Trials come in two kinds.  An edge walk -- a clean discrete trace whose
+every crossing sits on a window edge, with or without mismatch or the
+coarse-acquisition latch, fed by any bit source -- draws nothing but
+bits, and each cycle's move follows from its bit window alone, so the
+walk is a prefix sum of per-cycle moves.  ``_edge_walks`` steps a batch
+of such trials together: ``run_monte_carlo`` sends them through it in
+blocks of ``_BLOCK_TRIALS`` trials, each round holding at most
+``_ROUND_ELEMENTS`` (trial, cycle) cells, and ``run_trial`` calls it as a
+batch of one.  Every other trial (jitter, interior ISI-2 crossings, RC
+lines) is a crossing-stream producer feeding ``_walk``, which moves the
+clock one crossing at a time because each move depends on the position.
+Trial k of a run always draws from its own ``default_rng((base_seed,
+k))``, so its result does not depend on the batch or the trial count.
+Waveform helpers drive the RC ladder to produce eye diagrams and folded
+crossing histograms for window extraction.
 """
 
 from __future__ import annotations
@@ -44,8 +50,12 @@ __all__ = [
 # minimum run lengths: one for '1', two for '0'
 TRAINING_PATTERN: tuple[int, ...] = (0, 0, 1, 0, 0, 1, 1, 1)
 
+# cycles per chunk of one walk: the first, and the cap as it grows fourfold
 _CHUNK0 = 1024
 _CHUNK_MAX = 65536
+# edge walks: trials stepped together, and (trial, cycle) cells per round
+_BLOCK_TRIALS = 512
+_ROUND_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -239,6 +249,15 @@ class MonteCarloResult:
         return self.escape_cycles >= 0
 
     @property
+    def n_escaped(self) -> int:
+        return int(self.escaped_mask.sum())
+
+    @property
+    def n_censored(self) -> int:
+        """Trials that reached max_cycles without escaping."""
+        return self.n_trials - self.n_escaped
+
+    @property
     def escaped_fraction(self) -> float:
         return float(self.escaped_mask.mean())
 
@@ -253,7 +272,7 @@ class MonteCarloResult:
 
     @property
     def stderr_cycles(self) -> float:
-        n = int(self.escaped_mask.sum())
+        n = self.n_escaped
         return self.std_cycles / np.sqrt(n) if n else float("nan")
 
     @property
@@ -265,35 +284,45 @@ class MonteCarloResult:
         return float(mask.mean())
 
 
-def generate_bits(source: BitSource, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n bits from the source; pattern sources start at the pattern head."""
+def generate_bits(source: BitSource, n: int, rng, phase=0) -> np.ndarray:
+    """n bits from the source; pattern sources start phase bits into the pattern.
+
+    rng may also be a list of generators with phase an array of as many
+    phases: the result then has one row of n bits per generator, each
+    row drawn from its own generator.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if source.kind == "bernoulli":
+    if source.kind != "bernoulli":
+        pat = source.cycle_pattern
+        return pat[(np.asarray(phase)[..., None] + np.arange(n)) % pat.size]
+    if isinstance(rng, np.random.Generator):
         return (rng.random(n) < source.p).astype(np.int8)
-    pat = source.cycle_pattern
-    return pat[np.arange(n) % pat.size]
+    u = np.empty((len(rng), n))
+    for r, row in zip(rng, u):
+        r.random(out=row)
+    return (u < source.p).view(np.int8)
 
 
-class _BitFeed:
-    """Sequential bit supply for one trial with a fixed draw order."""
+def _start_phase(source: BitSource, rng: np.random.Generator) -> int:
+    """A trial's first draw: a random phase decorrelates trials of a
+    periodic source; other sources start at 0 and draw nothing."""
+    if source.kind in ("training_biased", "alternating"):
+        return int(rng.integers(len(source.pattern)))
+    return 0
 
-    def __init__(self, source: BitSource, rng: np.random.Generator):
-        self.rng = rng
-        self.kind = source.kind
-        self.p = source.p
-        self.pattern = source.cycle_pattern
-        self.offset = 0
-        if self.kind in ("training_biased", "alternating"):
-            # random pattern phase decorrelates trials of a periodic source
-            self.offset = int(rng.integers(self.pattern.size))
 
-    def take(self, n: int) -> np.ndarray:
-        if self.kind == "bernoulli":
-            return (self.rng.random(n) < self.p).astype(np.int8)
-        idx = (self.offset + np.arange(n)) % self.pattern.size
-        self.offset = (self.offset + n) % self.pattern.size
-        return self.pattern[idx]
+def _bit_feed(source: BitSource, rng: np.random.Generator):
+    """One trial's bit stream for the per-crossing producers: take(n) gives
+    the next n bits."""
+    phase = _start_phase(source, rng)
+
+    def take(n: int) -> np.ndarray:
+        nonlocal phase
+        phase += n
+        return generate_bits(source, n, rng, phase - n)
+
+    return take
 
 
 @lru_cache(maxsize=8)
@@ -311,16 +340,16 @@ def _code_table(order: int, table: tuple) -> np.ndarray:
     return lut
 
 
-def _trace_events(trace: IsiTraceModel, cross: np.ndarray, sigma: float, feed, rng):
+def _trace_events(trace: IsiTraceModel, cross: np.ndarray, sigma: float, take, rng):
     """Crossing producer of a discrete trace: codes read off the bit stream."""
     lut = _code_table(trace.order, tuple(trace.transition_table.items()))
     ctx = trace.order + 1
     weights = 2 ** np.arange(ctx + 1)
-    tail = feed.take(ctx)
+    tail = take(ctx)
 
     def events(n: int) -> tuple[np.ndarray, np.ndarray]:
         nonlocal tail
-        seq = np.concatenate([tail, feed.take(n)])
+        seq = np.concatenate([tail, take(n)])
         tail = seq[-ctx:]
         # convolution reverses the weights, so the oldest bit weighs most
         code = lut[np.convolve(seq, weights, "valid")]
@@ -333,116 +362,185 @@ def _trace_events(trace: IsiTraceModel, cross: np.ndarray, sigma: float, feed, r
     return events
 
 
-def _latched(events, held: float):
-    """Coarse producer: one crossing per cycle, the latest detector decision
-    held through quiet cycles; held starts at an edge (0 moves right)."""
-
-    def coarse(n: int) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal held
-        t, c = events(n)
-        seen = np.zeros(n, dtype=np.intp)
-        seen[t] = np.arange(1, t.size + 1)
-        c = np.concatenate([[held], c])[np.maximum.accumulate(seen)]
-        held = c[-1]
-        return np.arange(n), c
-
-    return coarse
+def _trial_result(cycle, side: int, trajectory) -> TrialResult:
+    """side is -1 for a left exit, +1 for a right one and 0 for no escape."""
+    if not side:
+        return TrialResult(False, None, None, trajectory)
+    return TrialResult(True, int(cycle), "left" if side < 0 else "right", trajectory)
 
 
-def _walk(phases, pos: int, w: int, s_r: int, rng, record: bool) -> TrialResult:
-    """The phase-detector walk over crossing streams, for every kind of trial.
+def _trajectory(pieces, s_r: int, w: int, side: int) -> np.ndarray:
+    """Position in steps after each cycle, from the per-chunk positions in
+    sub-steps; an escaped walk ends on the edge it left by."""
+    trajectory = np.concatenate(pieces) / s_r
+    if side:
+        trajectory[-1] = 0.0 if side < 0 else float(w)
+    return trajectory
 
-    Each phase is (events, cycles, up, down): events(n) gives the
-    crossings of the next n cycles as cycle indices t (-1 for a crossing
-    just before the chunk) and positions c in sub-steps; a crossing left
-    of the clock moves it up sub-steps right, one right of it down
-    sub-steps left, and a fair coin decides a tie.  Positions 0 and
-    g = w * s_r absorb.  Every phase restarts the chunk schedule.
+
+def _walk(events, cycles: int, pos: int, w: int, substeps, rng, record: bool) -> TrialResult:
+    """The phase-detector walk over a crossing stream, one crossing at a time.
+
+    events(n) gives the crossings of the next n cycles as cycle indices t
+    (-1 for a crossing just before the chunk) and positions c in
+    sub-steps; a crossing left of the clock moves it s_r sub-steps right,
+    one right of it s_l sub-steps left, and a fair coin decides a tie.
+    Positions 0 and g = w * s_r absorb.  Only walks whose moves depend on
+    the position come here: jitter, interior crossings and RC lines.
     """
+    s_l, s_r = substeps
     g = w * s_r
     traj = [np.array([pos], dtype=float)] if record else None
-    base, cycle, side = 0, None, 0
-    for events, cycles, up, down in phases:
-        chunk = _CHUNK0
-        while cycles > 0 and cycle is None:
-            n = min(chunk, cycles)
-            t, c = events(n)
-            if not ((c > 0) & (c < g)).any():
-                # crossings on or beyond an edge sit left or right of every
-                # interior clock, so each move is known without the position
-                path = pos + np.cumsum(np.where(c <= 0, up, -down))
+    base, cycle, side, chunk = 0, None, 0, _CHUNK0
+    while cycles > 0 and cycle is None:
+        n = min(chunk, cycles)
+        t, c = events(n)
+        steps, p = [], pos
+        for ck in c.tolist():
+            if ck < p or (ck == p and rng.random() < 0.5):
+                p += s_r
             else:
-                steps, p = [], pos
-                for ck in c.tolist():
-                    if ck < p or (ck == p and rng.random() < 0.5):
-                        p += up
-                    else:
-                        p -= down
-                    steps.append(p)
-                    if p <= 0 or p >= g:
-                        break
-                path = np.array(steps, dtype=np.int64)
-            out = (path <= 0) | (path >= g)
-            if out.any():
-                k = int(np.argmax(out))
-                path, t = path[: k + 1], t[: k + 1]
-                cycle = base + int(t[-1]) + 1
-                side = -1 if path[-1] <= 0 else 1
-            if traj is not None:
-                # per cycle, the position after its last crossing so far
-                stop = max(int(t[-1]), 0) + 1 if cycle is not None else n
-                seen = np.searchsorted(np.maximum(t, 0), np.arange(stop), side="right")
-                traj.append(np.r_[pos, path][seen].astype(float))
-            if path.size:
-                pos = int(path[-1])
-            base += n
-            cycles -= n
-            chunk = min(chunk * 4, _CHUNK_MAX)
+                p -= s_l
+            steps.append(p)
+            if p <= 0 or p >= g:
+                break
+        path = np.array(steps, dtype=np.int64)
+        if path.size and (path[-1] <= 0 or path[-1] >= g):
+            t = t[: path.size]
+            cycle = base + int(t[-1]) + 1
+            side = -1 if path[-1] <= 0 else 1
+        if record:
+            # per cycle, the position after its last crossing so far
+            stop = max(int(t[-1]), 0) + 1 if cycle is not None else n
+            seen = np.searchsorted(np.maximum(t, 0), np.arange(stop), side="right")
+            traj.append(np.r_[pos, path][seen].astype(float))
+        if path.size:
+            pos = int(path[-1])
+        base += n
+        cycles -= n
+        chunk = min(chunk * 4, _CHUNK_MAX)
 
-    trajectory = None
-    if traj is not None:
-        trajectory = np.concatenate(traj) / s_r
-        if side:
-            trajectory[-1] = 0.0 if side < 0 else float(w)
-    if cycle is None:
-        return TrialResult(False, None, None, trajectory)
-    return TrialResult(True, cycle, "left" if side < 0 else "right", trajectory)
+    return _trial_result(cycle, side, _trajectory(traj, s_r, w, side) if record else None)
+
+
+def _is_edge_walk(config: TrialConfig) -> bool:
+    """Whether config's trials are edge walks: a degenerate window, or a
+    clean discrete trace whose every crossing sits on a window edge, so
+    that each cycle's move follows from its bit window alone."""
+    if config.channel.kind == "rc_line":
+        return False
+    w = config.window.width_steps
+    if w == 0:
+        return True
+    trace = config.channel.require_trace()
+    edge = config.channel.jitter is None and set(trace.crossing_positions) <= {0, w}
+    coarse = config.coarse_first
+    if coarse is not None and coarse.duration_cycles > 0:
+        if not (edge and trace.order == 1 and len(trace.crossing_positions) == 2):
+            raise ValueError("coarse acquisition supports clean two-crossing traces only")
+    return edge
+
+
+def _edge_walks(config: TrialConfig, seeds, record: bool = False):
+    """Edge walks of one config, one trial per seed, stepped together.
+
+    Trial k draws from its own default_rng(seeds[k]), in a fixed order:
+    the pattern phase, the ctx bits, the coarse coin, then payload bits;
+    so no trial depends on the others in its batch.  Each round stacks the
+    active trials' next bits into one (trials, cycles) block, maps every
+    bit window to a turn (+1 right, -1 left, 0 quiet) through _code_table,
+    holds the latest turn through quiet cycles while the coarse latch
+    runs, and takes each row's walk as a prefix sum of its moves; rows
+    that escaped retire.  A round holds at most _ROUND_ELEMENTS cycles
+    over all its rows.  Returns escape cycles (-1 for none), exit sides
+    (-1 left, +1 right, 0 none) and, when record is set on a batch of
+    one, the trajectory in steps.
+    """
+    cycles = np.full(len(seeds), -1, dtype=np.int64)
+    sides = np.zeros(len(seeds), dtype=np.int8)
+    w = config.window.width_steps
+    if w == 0:
+        # degenerate window: the start position is already at the edge
+        cycles[:], sides[:] = 0, -1
+        return cycles, sides, np.zeros(1) if record else None
+    trace = config.channel.require_trace()
+    source = config.source
+    s_l, s_r = config._substeps
+    g = w * s_r
+    lut = _code_table(trace.order, tuple(trace.transition_table.items()))
+    # a crossing on the left edge lies left of every interior clock
+    turn = np.where(lut < 0, 0, np.where(np.asarray(trace.crossing_positions)[lut] <= 0, 1, -1))
+    fine = np.where(turn > 0, s_r, np.where(turn < 0, -s_l, 0))
+    ctx = trace.order + 1
+    coarse = config.coarse_first
+    latch = min(coarse.duration_cycles, config.max_cycles) if coarse is not None else 0
+
+    # each trial's draws keep their order: phase, ctx bits, coin, payload
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    phase = np.array([_start_phase(source, r) for r in rngs])
+    tail = generate_bits(source, ctx, rngs, phase)
+    phase += ctx
+    held = np.zeros(len(seeds), dtype=np.int64)
+    if latch:
+        # the latch starts at a coin-chosen edge; the left one turns the clock right
+        held[:] = [1 if r.random() < 0.5 else -1 for r in rngs]
+    rows = np.arange(len(seeds))
+    pos = np.full(rows.size, config.initial * s_r, dtype=np.int64)
+    traj = [pos[:1]] if record else None
+    base, chunk = 0, _CHUNK0
+    while rows.size and base < config.max_cycles:
+        latched = base < latch
+        stop = latch if latched else config.max_cycles
+        n = min(chunk, max(1, _ROUND_ELEMENTS // rows.size), stop - base)
+        seq = np.concatenate([tail, generate_bits(source, n, rngs, phase)], axis=1)
+        # windows of at most four bits fit in int8
+        key = seq[:, :n]
+        for j in range(1, ctx + 1):
+            key = 2 * key + seq[:, j : j + n]
+        key = key.astype(np.intp)
+        if latched:
+            # column 0 holds the previous round's latch, column j cycle j - 1's turn
+            t = np.concatenate([held[:, None], turn[key]], axis=1)
+            last = np.maximum.accumulate(np.where(t != 0, np.arange(n + 1), 0), axis=1)
+            t = np.take_along_axis(t, last, axis=1)[:, 1:]
+            held = t[:, -1]
+            moves = t * (coarse.coarse_step_steps * s_r)
+        else:
+            moves = fine[key]
+        moves[:, 0] += pos
+        path = np.cumsum(moves, axis=1, out=moves)
+        out = (path <= 0) | (path >= g)
+        hit = out.any(axis=1)
+        at = out.argmax(axis=1)
+        if record:
+            traj.append(path[0, : at[0] + 1 if hit[0] else n])
+        cycles[rows[hit]] = base + at[hit] + 1
+        sides[rows[hit]] = np.where(path[hit, at[hit]] <= 0, -1, 1)
+        live = ~hit
+        rngs = [r for r, keep in zip(rngs, live) if keep]
+        rows, pos, phase = rows[live], path[live, -1], phase[live] + n
+        tail, held = seq[live, -ctx:], held[live]
+        base += n
+        chunk = min(chunk * 4, _CHUNK_MAX)
+
+    return cycles, sides, _trajectory(traj, s_r, w, sides[0]) if record else None
 
 
 def run_trial(config: TrialConfig, seed) -> TrialResult:
     """One trial; seed may be an int or a sequence of ints."""
+    if _is_edge_walk(config):
+        cycles, sides, traj = _edge_walks(config, [seed], config.record_trajectory)
+        return _trial_result(cycles[0], sides[0], traj)
     rng = np.random.default_rng(seed)
     if config.channel.kind == "rc_line":
         return _rc_trial(config, rng)
-    if config.window.width_steps == 0:
-        # degenerate window: the start position is already at the edge
-        traj = np.zeros(1) if config.record_trajectory else None
-        return TrialResult(True, 0, "left", traj)
     trace = config.channel.require_trace()
-    s_l, s_r = config._substeps
-    w = config.window.width_steps
-    g = w * s_r
-    feed = _BitFeed(config.source, rng)
+    s_r = config._substeps[1]
     cross = np.asarray(trace.crossing_positions) * s_r
-    jit = config.channel.jitter
-    sigma = jit.sigma_steps * s_r if jit is not None else 0.0
-    fine = _trace_events(trace, cross, sigma, feed, rng)
-
-    phases = []
-    cycles = config.max_cycles
-    coarse = config.coarse_first
-    if coarse is not None and coarse.duration_cycles > 0:
-        if trace.order != 1 or cross[0] != 0 or cross[-1] != g or sigma:
-            raise ValueError(
-                "coarse acquisition supports clean two-crossing traces only"
-            )
-        held = 0.0 if rng.random() < 0.5 else float(g)
-        n = min(coarse.duration_cycles, cycles)
-        step = coarse.coarse_step_steps * s_r
-        phases.append((_latched(fine, held), n, step, step))
-        cycles -= n
-    phases.append((fine, cycles, s_r, s_l))
-    return _walk(phases, config.initial * s_r, w, s_r, rng, config.record_trajectory)
+    sigma = config.channel.jitter.sigma_steps * s_r if config.channel.jitter else 0.0
+    events = _trace_events(trace, cross, sigma, _bit_feed(config.source, rng), rng)
+    return _walk(events, config.max_cycles, config.initial * s_r, config.window.width_steps,
+                 config._substeps, rng, config.record_trajectory)
 
 
 _RC_CAL_UI = 288
@@ -459,27 +557,27 @@ def _rc_trial(config: TrialConfig, rng: np.random.Generator) -> TrialResult:
     hist = _fold_crossings(line.crossings(rng.random(_RC_CAL_UI) < 0.5))
     win_ui = hist.window_ui
 
-    s_l, s_r = config._substeps
+    s_r = config._substeps[1]
     w = max(2, int(round(win_ui / config.step_tau)))
     init = config.initial_position if config.initial_position is not None else w // 2
     if not 0 < init < w:
         raise ValueError(
             f"initial position must lie strictly inside the measured {w}-step window"
         )
-    events = _rc_events(line, _BitFeed(config.source, rng), hist.band_start_ui, win_ui,
+    events = _rc_events(line, _bit_feed(config.source, rng), hist.band_start_ui, win_ui,
                         s_r / config.step_tau)
-    return _walk([(events, config.max_cycles, s_r, s_l)], init * s_r, w, s_r, rng,
+    return _walk(events, config.max_cycles, init * s_r, w, config._substeps, rng,
                  config.record_trajectory)
 
 
-def _rc_events(line: _RcLine, feed, band: float, win_ui: float, scale: float):
+def _rc_events(line: _RcLine, take, band: float, win_ui: float, scale: float):
     """Crossing producer of an RC line: the first crossing of each cycle,
     placed relative to the band start and scaled to sub-steps."""
     last = -2  # cycle of the previous chunk's last crossing, counted from this chunk
 
     def events(n: int) -> tuple[np.ndarray, np.ndarray]:
         nonlocal last
-        t_ui = line.crossings(feed.take(n))
+        t_ui = line.crossings(take(n))
         ui = np.floor(t_ui).astype(np.int64)
         # a lookback crossing (ui -1) is first only if the previous chunk
         # gave its cycle none
@@ -499,19 +597,27 @@ def _trial_seed(base_seed, k: int):
 
 
 def run_monte_carlo(config: TrialConfig, trials: int, base_seed) -> MonteCarloResult:
-    """Independent trials with per-trial seeds (base_seed, trial_index)."""
+    """Independent trials with per-trial seeds (base_seed, trial_index).
+
+    Edge walks run _BLOCK_TRIALS trials at a time through _edge_walks;
+    every other walk runs one run_trial per trial.  Trial k's result does
+    not depend on the trial count.  Trajectories are not recorded.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
-    cfg = config
-    if config.record_trajectory:
-        # trajectories are per-trial artifacts; drop for bulk runs
-        cfg = replace(config, record_trajectory=False)
-    cycles = np.empty(trials, dtype=np.int64)
+    cycles = np.full(trials, -1, dtype=np.int64)
     sides = np.zeros(trials, dtype=np.int8)
+    if _is_edge_walk(config):
+        for lo in range(0, trials, _BLOCK_TRIALS):
+            hi = min(lo + _BLOCK_TRIALS, trials)
+            seeds = [_trial_seed(base_seed, k) for k in range(lo, hi)]
+            cycles[lo:hi], sides[lo:hi], _ = _edge_walks(config, seeds)
+        return MonteCarloResult(cycles, sides)
+    cfg = replace(config, record_trajectory=False)
     for k in range(trials):
         res = run_trial(cfg, _trial_seed(base_seed, k))
-        cycles[k] = res.escape_cycle if res.escaped else -1
         if res.escaped:
+            cycles[k] = res.escape_cycle
             sides[k] = -1 if res.exit_side == "left" else 1
     return MonteCarloResult(cycles, sides)
 

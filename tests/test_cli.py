@@ -113,9 +113,9 @@ def test_simulate_outputs_and_rerun_identical(tmp_path):
     for name in ("summary.json", "escape_stats.csv", "trajectory.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     header, rows = data_rows(out1 / "escape_stats.csv")
-    assert header == ["position", "mean", "std", "stderr", "trials"]
+    assert header == ["position", "mean", "std", "stderr", "trials", "escaped"]
     assert [r[0] for r in rows] == ["3", "6"]
-    assert all(r[4] == "30" for r in rows)
+    assert all(r[4] == r[5] == "30" for r in rows)
 
 
 def test_simulate_trajectory_starts_at_initial(tmp_path):
@@ -154,9 +154,24 @@ def test_simulate_censored_positions_write_no_nan(tmp_path):
     s = json.loads((out / "summary.json").read_text(), parse_constant=_reject_nan)
     assert s["mean_cycles"][1] is None
     _, rows = data_rows(out / "escape_stats.csv")
-    assert rows[1] == ["6", "", "", "", "30"]
+    assert rows[1] == ["6", "", "", "", "30", "0"]
     for name in ("summary.json", "escape_stats.csv"):
         assert "nan" not in (out / name).read_text().lower()
+
+
+def test_simulate_and_training_count_escaped_trials(tmp_path):
+    # within 40 cycles only some trials escape from either start
+    rc, out = invoke(tmp_path, "simulate", simulate_cfg(max_cycles=40), "--seed", "2", tag="s")
+    assert rc == 0
+    _, rows = data_rows(out / "escape_stats.csv")
+    assert [r[5] for r in rows] == ["17", "7"]
+    # from the centre of width 20, random data takes 200 cycles on average and
+    # the training pattern about 40, so only the baseline arm has censored trials
+    cfg = {"schema_version": 1, "technique": "training", "width_steps": 20, "max_cycles": 100}
+    rc, out = invoke(tmp_path, "compare", cfg, "--seed", "3", "--trials", "60", tag="t")
+    assert rc == 0
+    s = summary_of(out)
+    assert (s["baseline_escaped"], s["treated_escaped"]) == (23, 60)
 
 
 # ---------------------------------------------------------------- eye

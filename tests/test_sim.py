@@ -179,7 +179,7 @@ class FixedFeed:
 
 def first_crossing_stream(chan, bits, chunk):
     """(cycle, position) of each cycle's first crossing, fed chunk UIs at a time."""
-    events = sim._rc_events(sim._RcLine(chan), FixedFeed(bits), 0.0, 0.5, 1.0)
+    events = sim._rc_events(sim._RcLine(chan), FixedFeed(bits).take, 0.0, 0.5, 1.0)
     cycles, positions = [], []
     for base in range(0, bits.size, chunk):
         t, c = events(min(chunk, bits.size - base))
@@ -608,3 +608,135 @@ def test_walk_stream_matches_parent():
     the separate loops that the single walk kernel replaced."""
     expected = json.loads(WALK_STREAM_TABLE.read_text())
     assert walk_stream_digests() == expected
+
+
+# ------------------------------------------------------------ edge batches
+
+EDGE_CASES = ["isi1", "isi1-mismatch", "periodic", "coarse-short", "coarse-long"]
+
+
+def edge_walk_oracle(cfg, seed) -> tuple[int, int]:
+    """(escape cycle, side) of one ISI-1 edge walk, stepped one cycle and one
+    bit draw at a time; -1 and 0 for a trial that does not escape."""
+    w = cfg.window.width_steps
+    if w == 0:
+        return 0, -1
+    rng = np.random.default_rng(seed)
+    src, trace = cfg.source, cfg.channel.trace
+    s_l, s_r = cfg._substeps
+    phase = 0
+    if src.kind in ("training_biased", "alternating"):
+        phase = int(rng.integers(len(src.pattern)))
+
+    def bit():
+        nonlocal phase
+        phase += 1
+        if src.kind == "bernoulli":
+            return int(rng.random() < src.p)
+        return src.pattern[(phase - 1) % len(src.pattern)]
+
+    history = (bit(), bit())
+    coarse = cfg.coarse_first
+    latch = coarse.duration_cycles if coarse is not None else 0
+    held = (1 if rng.random() < 0.5 else -1) if latch else 0
+    pos = cfg.initial * s_r
+    for cycle in range(cfg.max_cycles):
+        window = (*history, bit())
+        history = window[1:]
+        label = trace.transition_table[window]
+        turn = 0 if label is None else (1 if trace.crossing_of(label) == 0 else -1)
+        if cycle < latch:
+            held = turn or held
+            pos += held * coarse.coarse_step_steps * s_r
+        elif turn:
+            pos += s_r if turn > 0 else -s_l
+        if pos <= 0 or pos >= w * s_r:
+            return cycle + 1, -1 if pos <= 0 else 1
+    return -1, 0
+
+
+def solo_results(cfg, base_seed, trials):
+    """run_trial's escape cycle and side per trial, as run_monte_carlo stores them."""
+    out = []
+    for k in range(trials):
+        res = run_trial(cfg, sim._trial_seed(base_seed, k))
+        side = 0 if not res.escaped else (-1 if res.exit_side == "left" else 1)
+        out.append((res.escape_cycle if res.escaped else -1, side))
+    return out
+
+
+def batch_results(res):
+    return list(zip(res.escape_cycles.tolist(), res.exit_sides.tolist()))
+
+
+def test_edge_cases_are_batched():
+    cases = walk_stream_cases()
+    assert [name for name, cfg in cases.items() if sim._is_edge_walk(cfg)] == EDGE_CASES
+
+
+def batch_cases():
+    """The edge cases of walk_stream_cases(), plus a pattern whose length
+    divides no round, so a trial's pattern phase must carry across rounds."""
+    cases = {name: walk_stream_cases()[name] for name in EDGE_CASES}
+    cases["explicit-odd"] = replace(isi1_config(200), source=BitSource.explicit([1, 1, 0, 1, 0]))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(batch_cases()))
+def test_batch_matches_single_trials_and_oracle(name):
+    cfg = batch_cases()[name]
+    trials = sim._BLOCK_TRIALS + 7  # two blocks
+    big = batch_results(run_monte_carlo(cfg, trials, 3))
+    assert big == solo_results(cfg, 3, trials)
+    # the oracle walks a cycle at a time, so it checks the ends of each block
+    for k in (*range(7), *range(sim._BLOCK_TRIALS - 7, trials)):
+        assert big[k] == edge_walk_oracle(cfg, sim._trial_seed(3, k)), k
+    # trial k does not depend on how many trials run
+    for m in (1, 7):
+        assert batch_results(run_monte_carlo(cfg, m, 3)) == big[:m]
+
+
+def cut_cases():
+    return {
+        # the coarse phase runs past max_cycles
+        "cut-coarse": isi1_config(40, coarse_first=CoarseFirstSpec(4, 30), max_cycles=7),
+        # the coarse phase ends at cycle 10 and the fine phase runs into max_cycles
+        "cut-fine": isi1_config(40, coarse_first=CoarseFirstSpec(1, 10), max_cycles=200),
+        "width-0": TrialConfig(
+            channel=ChannelModel.discrete(isi1_trace(10)),
+            source=BitSource.bernoulli(0.5),
+            window=WindowSpec(0),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(cut_cases()))
+def test_batch_cut_by_max_cycles_matches_oracle(name):
+    cfg = cut_cases()[name]
+    trials = 300
+    res = run_monte_carlo(cfg, trials, 8)
+    got = batch_results(res)
+    assert got == solo_results(cfg, 8, trials)
+    assert got == [edge_walk_oracle(cfg, sim._trial_seed(8, k)) for k in range(trials)]
+    if name == "width-0":
+        assert got == [(0, -1)] * trials
+    else:
+        # both outcomes occur, and no escape is counted past the cut
+        assert 0 < res.n_censored < trials
+        assert res.escape_cycles.max() <= cfg.max_cycles
+        traj = run_trial(replace(cfg, record_trajectory=True), sim._trial_seed(8, 0)).trajectory
+        cycle = got[0][0]
+        assert traj.size == (cycle if cycle >= 0 else cfg.max_cycles) + 1
+
+
+def test_censored_trials_are_counted():
+    cfg = isi1_config(20, max_cycles=150)
+    res = run_monte_carlo(cfg, 200, 4)
+    assert batch_results(res) == [edge_walk_oracle(cfg, (4, k)) for k in range(200)]
+    assert 0 < res.n_censored < res.n_trials
+    assert res.n_escaped + res.n_censored == res.n_trials
+    censored = ~res.escaped_mask
+    assert (res.escape_cycles[censored] == -1).all()
+    assert (res.exit_sides[censored] == 0).all()
+    # the statistics cover the escaped trials only
+    assert res.mean_cycles == res.escape_cycles[res.escaped_mask].mean()
