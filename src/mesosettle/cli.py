@@ -181,22 +181,6 @@ def _window_from(cfg: dict) -> jitter.WindowSpec:
     return jitter.WindowSpec(_int(cfg, "width_steps"), _int(cfg, "initial_offset_steps", None))
 
 
-def _initial_vector(chain: markov.AbsorbingChain, position) -> np.ndarray:
-    """Point mass at a labeled position; uniform over memory states."""
-    labels = chain.labels
-    hits = [
-        i
-        for i, lab in enumerate(labels)
-        if i not in chain.absorbing
-        and (lab[0] if isinstance(lab, tuple) else lab) == position
-    ]
-    if not hits:
-        raise ConfigError(f"initial position {position} is not a transient state")
-    p0 = np.zeros(chain.n_states)
-    p0[hits] = 1.0 / len(hits)
-    return p0
-
-
 def _chain_from(cfg: dict) -> tuple[markov.AbsorbingChain, object, dict]:
     """Build (chain, initial position label, description) from config."""
     model = _pop(cfg, "model")
@@ -256,7 +240,7 @@ def cmd_analyze(args, outdir: str) -> dict:
     max_transitions = _max_transitions(cfg)
     chain, init, desc = _chain_from(cfg)
     _done(cfg, "analyze")
-    p0 = _initial_vector(chain, init)
+    p0 = jitter.start_distribution(chain, init)
 
     positions, mean, std = jitter.position_profile(chain)
     _write_csv(
@@ -268,20 +252,19 @@ def cmd_analyze(args, outdir: str) -> dict:
     series = markov.absorption_series(
         chain, p0, target_confidence=confidence, max_n=max_transitions
     )
-    n_conf = int(np.argmax(series.cdf >= confidence))
     _write_csv(
         os.path.join(outdir, "absorption_cdf.csv"),
         ["n", "cdf", "pmf"],
         zip(range(series.cdf.size), series.cdf, series.pmf),
     )
 
-    at = int(np.argmin(np.abs(positions - float(init))))
+    at = int(np.flatnonzero(positions == init)[0])
     return {
         "command": "analyze",
         **desc,
         "initial_position": float(init),
         "confidence": confidence,
-        "n_at_confidence": n_conf,
+        "n_at_confidence": series.n_transitions,
         "mean_cycles_at_initial": float(mean[at]),
         "std_cycles_at_initial": float(std[at]),
         "n_states": chain.n_states,
@@ -533,7 +516,7 @@ def cmd_sweep(args, outdir: str) -> dict:
 
     rows = []
     for window, chain in zip(windows, chains):
-        p0 = markov.point_mass(chain, window.initial)
+        p0 = jitter.start_distribution(chain, window.initial)
         n = markov.transitions_for_confidence(chain, p0, confidence, max_n=max_transitions)
         rows.append((window.width_steps, n))
     _write_csv(os.path.join(outdir, "sweep.csv"), ["window_steps", "n_at_confidence"], rows)

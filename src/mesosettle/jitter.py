@@ -33,6 +33,7 @@ __all__ = [
     "build_biased_chain",
     "mismatch_substeps",
     "position_profile",
+    "start_distribution",
     "sub_windows_to_steps",
     "ISI2_TAGS",
 ]
@@ -365,33 +366,46 @@ def build_biased_chain(base: AbsorbingChain, mismatch_percent) -> AbsorbingChain
     return AbsorbingChain(p, frozenset({0, g}), labels=labels)
 
 
-def position_profile(chain: AbsorbingChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean/std absorption time per clock position.
+def _transient_positions(chain: AbsorbingChain) -> tuple[np.ndarray, np.ndarray]:
+    """Transient states in index order and the clock position of each.
 
-    For extended-state chains the mean at a position is the plain average
-    of the per-memory-state means; the variance pools the per-memory
-    second moments the same way.
+    The one reader of state labels: a tuple label (a memory state of an
+    extended chain) leads with its position; any other label is the position.
     """
-    stats = absorption_stats(chain)
     labels = chain.labels
     if labels is None:
         raise ValueError("chain carries no position labels")
-    by_pos: dict[float, list[int]] = {}
-    for k, state in enumerate(stats.transient_order):
-        lab = labels[state]
-        pos = lab[0] if isinstance(lab, tuple) else lab
-        by_pos.setdefault(float(pos), []).append(k)
-    positions = np.array(sorted(by_pos))
-    mean = np.empty(len(positions))
-    std = np.empty(len(positions))
-    for j, posn in enumerate(positions):
-        ks = by_pos[posn]
-        m = stats.mean[ks]
-        v = stats.variance[ks]
-        mean[j] = m.mean()
-        # pooled over the uniform memory mixture
-        std[j] = np.sqrt((v + m**2).mean() - m.mean() ** 2)
-    return positions, mean, std
+    states = chain.transient
+    heads = [labels[i][0] if isinstance(labels[i], tuple) else labels[i] for i in states]
+    return states, np.array(heads, dtype=float)
+
+
+def start_distribution(chain: AbsorbingChain, position) -> np.ndarray:
+    """Start at a clock position, spread uniformly over its memory states."""
+    states, positions = _transient_positions(chain)
+    hits = states[positions == float(position)]
+    if hits.size == 0:
+        raise ValueError(f"initial position {position} is not a transient state")
+    p0 = np.zeros(chain.n_states)
+    p0[hits] = 1.0 / hits.size
+    return p0
+
+
+def position_profile(chain: AbsorbingChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean/std absorption time per clock position, positions ascending.
+
+    Each position starts as in ``start_distribution``, a uniform mixture
+    of its memory states: the mean averages their means, and the variance
+    is their mean variance plus the variance of their means.
+    """
+    _, state_positions = _transient_positions(chain)
+    stats = absorption_stats(chain)
+    positions, group = np.unique(state_positions, return_inverse=True)
+    counts = np.bincount(group)
+    mean = np.bincount(group, weights=stats.mean) / counts
+    spread = np.bincount(group, weights=(stats.mean - mean[group]) ** 2) / counts
+    variance = np.bincount(group, weights=stats.variance) / counts + spread
+    return positions, mean, np.sqrt(variance)
 
 
 def sub_windows_to_steps(

@@ -302,13 +302,10 @@ def transitions_for_confidence(
     *,
     max_n: int = DEFAULT_MAX_TRANSITIONS,
 ) -> int:
-    """Smallest n with cdf[n] >= confidence."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie strictly in (0, 1)")
-    series = absorption_series(
+    """Smallest n with cdf[n] >= confidence: where the series stops."""
+    return absorption_series(
         chain, initial, target_confidence=confidence, max_n=max_n
-    )
-    return int(np.argmax(series.cdf >= confidence))
+    ).n_transitions
 
 
 def point_mass(chain: AbsorbingChain, state: int) -> np.ndarray:

@@ -7,8 +7,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats as sstats
 
-from .jitter import WindowSpec, build_biased_chain, build_isi1_chain, mismatch_substeps
-from .markov import absorption_stats, point_mass, transitions_for_confidence
+from .jitter import (
+    WindowSpec, build_biased_chain, build_isi1_chain, position_profile, start_distribution,
+)
+from .markov import transitions_for_confidence
 from .sim import BitSource, MonteCarloResult, TrialConfig, _trial_seed, run_monte_carlo
 
 __all__ = [
@@ -57,26 +59,20 @@ class ReductionReport:
 def compare_mismatch(width_steps: int, mismatch_percent) -> ReductionReport:
     """Analytic UP/DN mismatch comparison across all interior positions.
 
-    The treated chain lives on the refined sub-grid; positions are read
-    back at the aligned multiples so both columns share the tau axis.
+    The treated chain lives on the refined sub-grid; its rows at integer
+    positions are read back so both columns share the tau axis.
     """
-    window = WindowSpec(width_steps)
-    base = build_isi1_chain(window)
-    biased = build_biased_chain(base, mismatch_percent)
-    _, s_r = mismatch_substeps(mismatch_percent)
-
-    st_b = absorption_stats(base)
-    st_t = absorption_stats(biased)
-    positions = np.arange(1, width_steps)
-    b_idx = positions - 1
-    t_idx = positions * s_r - 1
+    base = build_isi1_chain(WindowSpec(width_steps))
+    positions, baseline_mean, baseline_std = position_profile(base)
+    sub, treated_mean, treated_std = position_profile(build_biased_chain(base, mismatch_percent))
+    on_grid = sub == np.round(sub)
     return ReductionReport(
         technique="mismatch",
-        positions=positions,
-        baseline_mean=st_b.mean[b_idx],
-        treated_mean=st_t.mean[t_idx],
-        baseline_std=st_b.std[b_idx],
-        treated_std=st_t.std[t_idx],
+        positions=positions.astype(int),
+        baseline_mean=baseline_mean,
+        treated_mean=treated_mean[on_grid],
+        baseline_std=baseline_std,
+        treated_std=treated_std[on_grid],
     )
 
 
@@ -94,7 +90,10 @@ def compare_training(
     treated = run_monte_carlo(treated_cfg, trials, _trial_seed(base_seed, 1))
     b = baseline.escape_cycles[baseline.escaped_mask]
     t = treated.escape_cycles[treated.escaped_mask]
-    p = float(sstats.ttest_ind(t, b, equal_var=False, alternative="less").pvalue)
+    # Welch's test needs two escapes per arm to estimate each variance
+    p = float("nan")
+    if min(b.size, t.size) >= 2:
+        p = float(sstats.ttest_ind(t, b, equal_var=False, alternative="less").pvalue)
     report = ReductionReport(
         technique="training",
         positions=np.array([config.initial]),
@@ -132,6 +131,6 @@ def coarse_first_confidence(
     if divided_period_ns <= 0:
         raise ValueError("divided period must be positive")
     chain = build_isi1_chain(window)
-    init = point_mass(chain, window.initial)
+    init = start_distribution(chain, window.initial)
     n = transitions_for_confidence(chain, init, confidence)
     return CoarseFirstEstimate(cycles=n, confidence=confidence, divided_period_ns=divided_period_ns)

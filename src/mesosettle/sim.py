@@ -263,6 +263,8 @@ class MonteCarloResult:
 
     @property
     def mean_cycles(self) -> float:
+        if not self.n_escaped:
+            return float("nan")
         return float(self.escape_cycles[self.escaped_mask].mean())
 
     @property

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,22 @@ def test_compare_training_significant(tmp_path):
     assert s["treated_mean"] < s["baseline_mean"]
 
 
+def test_compare_training_without_escapes_warns_nothing(tmp_path, capsys):
+    # within 30 cycles of the centre of width 20 no training trial escapes,
+    # so that arm has no mean and the two arms no Welch test
+    cfg = {"schema_version": 1, "technique": "training", "width_steps": 20,
+           "trials": 40, "max_cycles": 30}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = invoke(tmp_path, "compare", cfg, "--seed", "1")
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    s = json.loads((out / "summary.json").read_text(), parse_constant=_reject_nan)
+    assert s["treated_escaped"] == 0
+    assert s["p_value"] is None
+    assert s["treated_mean"] is None
+
+
 # ---------------------------------------------------------------- errors
 
 
@@ -308,6 +325,14 @@ def test_unknown_channel_preset_exits_2(tmp_path):
 
 
 COMBINED = {"schema_version": 1, "model": "combined", "sigma_steps": 5, "w_ab_steps": 40}
+# a start on an absorbing position: the right edge of each window
+OFF_CHAIN_STARTS = [
+    ("analyze", {"schema_version": 1, "model": "isi2", "sub_windows_steps": [3, 4, 3],
+                 "initial_offset_steps": 10}),
+    ("analyze", {"schema_version": 1, "model": "gaussian", "sigma_steps": 4,
+                 "initial_offset_steps": 12}),
+    ("analyze", {**COMBINED, "initial_offset_steps": 55}),
+]
 BIASED = {"schema_version": 1, "model": "biased", "width_steps": 40}
 MISMATCH = {"schema_version": 1, "technique": "mismatch", "width_steps": 40}
 TRAINING = {"schema_version": 1, "technique": "training", "width_steps": 12, "trials": 4}
@@ -353,6 +378,7 @@ EYE = {"schema_version": 1, "channel": "benign", "bits_total": 60}
         ("sweep", {"schema_version": True, "widths_steps": [2, 5]}),
         ("sweep", {"schema_version": 1.0, "widths_steps": [2, 5]}),
         ("simulate", simulate_cfg(initial_offset_steps=4)),
+        *OFF_CHAIN_STARTS,
     ],
     ids=[
         "positions-scalar",
@@ -389,12 +415,19 @@ EYE = {"schema_version": 1, "channel": "benign", "bits_total": 60}
         "schema-version-bool",
         "schema-version-float",
         "simulate-initial-offset",
+        "isi2-start-absorbing",
+        "gaussian-start-absorbing",
+        "combined-start-absorbing",
     ],
 )
 def test_bad_config_shape_exits_2(tmp_path, capsys, command, cfg):
     rc, _ = invoke(tmp_path, command, cfg, "--seed", "1")
     assert rc == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    if (command, cfg) in OFF_CHAIN_STARTS:
+        start = cfg["initial_offset_steps"]
+        assert err == f"config error: initial position {start} is not a transient state\n"
 
 
 # Wrong types, edge integers, non-finite numbers, lists and mappings.  No

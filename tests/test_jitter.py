@@ -22,6 +22,7 @@ from mesosettle.jitter import (
     isi2_trace,
     mismatch_substeps,
     position_profile,
+    start_distribution,
     sub_windows_to_steps,
     wrong_update_probability,
 )
@@ -119,11 +120,62 @@ def test_isi2_chain_profile():
 
 
 def test_position_profile_matches_stats_on_plain_chain():
-    chain = build_isi1_chain(WindowSpec(12))
+    # one state per position: the profile is the chain's own moments, bit for bit
+    for chain in (
+        build_isi1_chain(WindowSpec(12)),
+        build_isi1_chain(WindowSpec(200)),
+        build_gaussian_chain(GaussianJitterSpec(sigma_steps=20)),
+    ):
+        stats = absorption_stats(chain)
+        positions, mean, std = position_profile(chain)
+        assert positions.tolist() == [chain.labels[i] for i in stats.transient_order]
+        assert np.array_equal(mean, stats.mean)
+        assert np.array_equal(std, stats.std)
+
+
+def test_position_profile_pools_memory_states():
+    # the old pooling, E[T^2] - E[T]^2 over the uniform mixture, is the oracle
+    chain = build_isi2_chain(3, 5, 2)
     stats = absorption_stats(chain)
     positions, mean, std = position_profile(chain)
-    assert np.allclose(mean, stats.mean)
-    assert np.allclose(std, stats.std)
+    m, v = stats.mean.reshape(-1, 6), stats.variance.reshape(-1, 6)
+    assert positions.tolist() == list(range(1, 10))
+    np.testing.assert_allclose(mean, m.mean(axis=1), rtol=1e-15)
+    np.testing.assert_allclose(
+        std, np.sqrt((v + m**2).mean(axis=1) - m.mean(axis=1) ** 2), rtol=1e-12
+    )
+
+
+def test_start_distribution_spreads_over_memory_states():
+    chain = build_isi2_chain(23, 43, 20)
+    p0 = start_distribution(chain, 43)
+    hits = np.flatnonzero(p0)
+    assert [chain.labels[i] for i in hits] == [(43, tag) for tag in ISI2_TAGS]
+    assert np.all(p0[hits] == 1 / 6)
+
+    biased = build_biased_chain(build_isi1_chain(WindowSpec(40)), 10)
+    p0 = start_distribution(biased, 20)
+    assert np.flatnonzero(p0).tolist() == [200]
+    assert p0[200] == 1.0
+
+
+@pytest.mark.parametrize(
+    "build, position",
+    [
+        (lambda: build_isi1_chain(WindowSpec(40)), 0),
+        (lambda: build_isi1_chain(WindowSpec(40)), 40),
+        (lambda: build_isi2_chain(23, 43, 20), 86),
+        (lambda: build_gaussian_chain(GaussianJitterSpec(sigma_steps=4)), -12),
+        (lambda: build_isi1_chain(WindowSpec(40)), 41),
+        (lambda: build_isi1_chain(WindowSpec(40)), 2.5),
+        (lambda: build_biased_chain(build_isi1_chain(WindowSpec(40)), 10), 20.05),
+    ],
+    ids=["isi1-left-edge", "isi1-right-edge", "isi2-right-edge", "gaussian-left-edge",
+         "isi1-beyond", "isi1-between-steps", "biased-between-substeps"],
+)
+def test_start_distribution_rejects_positions_without_transient_state(build, position):
+    with pytest.raises(ValueError, match="is not a transient state"):
+        start_distribution(build(), position)
 
 
 def test_wrong_update_probability_values():

@@ -25,6 +25,7 @@ from mesosettle.jitter import (
     build_isi1_chain,
     build_isi2_chain,
     mismatch_substeps,
+    start_distribution,
 )
 from mesosettle.reduction import compare_mismatch
 
@@ -225,6 +226,13 @@ def _start_at(chain, position):
     p0 = np.zeros(chain.n_states)
     p0[hits] = 1.0 / len(hits)
     return p0
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CHAINS))
+def test_start_distribution_matches_label_scan(name):
+    build, position = REFERENCE_CHAINS[name]
+    chain = build()
+    assert np.array_equal(start_distribution(chain, position), _start_at(chain, position))
 
 
 def _dense_reference(chain, p0, confidence):

@@ -3,7 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mesosettle.jitter import WindowSpec, isi1_trace
+from mesosettle.jitter import (
+    WindowSpec, build_biased_chain, build_isi1_chain, isi1_trace, mismatch_substeps,
+)
+from mesosettle.markov import absorption_stats
 from mesosettle.reduction import (
     CoarseFirstEstimate,
     coarse_first_confidence,
@@ -20,6 +23,24 @@ def test_zero_mismatch_reduces_nothing():
     rep = compare_mismatch(12, 0)
     assert np.allclose(rep.reduction_mean, 0.0, atol=1e-12)
     assert np.allclose(rep.reduction_std, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("width", [12, 40])
+@pytest.mark.parametrize("mismatch", [0, 10, 25])
+def test_mismatch_columns_read_the_aligned_states(width, mismatch):
+    # oracle: state k of the base chain and state k * s_R of the sub-grid
+    # chain both sit at clock position k
+    base = build_isi1_chain(WindowSpec(width))
+    st_b = absorption_stats(base)
+    st_t = absorption_stats(build_biased_chain(base, mismatch))
+    _, s_r = mismatch_substeps(mismatch)
+    k = np.arange(1, width)
+    rep = compare_mismatch(width, mismatch)
+    assert rep.positions.tolist() == k.tolist()
+    assert np.array_equal(rep.baseline_mean, st_b.mean[k - 1])
+    assert np.array_equal(rep.baseline_std, st_b.std[k - 1])
+    assert np.array_equal(rep.treated_mean, st_t.mean[k * s_r - 1])
+    assert np.array_equal(rep.treated_std, st_t.std[k * s_r - 1])
 
 
 def test_mismatch_reference_center():
