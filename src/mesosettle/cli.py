@@ -333,11 +333,9 @@ def cmd_simulate(args, outdir: str) -> dict:
     rows = []
     for i, (pos, cfg_i) in enumerate(zip(positions, configs)):
         res = sim.run_monte_carlo(cfg_i, trials, (seed, i))
-        # a position whose trials all hit max_cycles has no escape statistics
-        stats = (None, None, None)
-        if res.escaped_mask.any():
-            stats = (res.mean_cycles, res.std_cycles, res.stderr_cycles)
-        rows.append((pos, *stats, trials, res.n_escaped))
+        rows.append(
+            (pos, res.mean_cycles, res.std_cycles, res.stderr_cycles, trials, res.n_escaped)
+        )
     _write_csv(
         os.path.join(outdir, "escape_stats.csv"),
         ["position", "mean", "std", "stderr", "trials", "escaped"],
@@ -359,7 +357,7 @@ def cmd_simulate(args, outdir: str) -> dict:
         "seed": seed,
         "trials": trials,
         "positions": positions,
-        "mean_cycles": [r[1] for r in rows],
+        "mean_cycles": [_number(r[1]) for r in rows],
     }
 
 

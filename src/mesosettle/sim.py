@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .jitter import GaussianJitterSpec, IsiTraceModel, WindowSpec, mismatch_substeps
 
@@ -269,8 +268,9 @@ class MonteCarloResult:
 
     @property
     def std_cycles(self) -> float:
+        """Sample std of the escaped trials' cycles; nan below two escapes."""
         cyc = self.escape_cycles[self.escaped_mask]
-        return float(cyc.std(ddof=1)) if cyc.size > 1 else 0.0
+        return float(cyc.std(ddof=1)) if cyc.size > 1 else float("nan")
 
     @property
     def stderr_cycles(self) -> float:
@@ -706,6 +706,29 @@ def _rc_system(channel: ChannelModel) -> tuple[np.ndarray, np.ndarray, np.ndarra
 _SCREEN_MARGIN = 1e-9
 # samples evaluated at once when screening for crossings
 _BLOCK_SAMPLES = 1 << 20
+
+
+def lfilter(b, a, x, zi) -> tuple[np.ndarray, np.ndarray]:
+    """First-order recursion y[n] = b[0] * x[n] + p * y[n - 1], p = -a[1].
+
+    The call and result of ``scipy.signal.lfilter`` for a first-order
+    filter with a[0] == 1: zi[0] is the p * y[-1] term entering y[0], and
+    the returned zf is p times the last output.  The recursion is a
+    doubling scan (Blelloch 1990): after the round with shift d, y[n]
+    sums the first 2d terms of its series, so log2(len(x)) rounds of
+    whole-array work replace the per-sample loop.
+    """
+    p = -a[1]
+    y = b[0] * np.asarray(x, dtype=float)
+    if not y.size:
+        return y, np.asarray(zi, dtype=float)
+    y[0] += zi[0]
+    d, pd = 1, p
+    while d < y.size and pd != 0.0:
+        # the product is a new array, so every term added is from the last round
+        y[d:] += pd * y[:-d]
+        d, pd = 2 * d, pd * pd
+    return y, np.array([p * y[-1]])
 
 
 class _RcLine:

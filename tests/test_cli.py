@@ -160,6 +160,29 @@ def test_simulate_censored_positions_write_no_nan(tmp_path):
         assert "nan" not in (out / name).read_text().lower()
 
 
+def test_one_escape_leaves_the_spread_empty(tmp_path):
+    # from the centre of width 12 one trial of five escapes within 20
+    # cycles, so its mean exists but its std and stderr do not
+    cfg = simulate_cfg(trials=5, max_cycles=20, positions_steps=[6], record_trajectory=False)
+    rc, out = invoke(tmp_path, "simulate", cfg, "--seed", "2", tag="s")
+    assert rc == 0
+    _, rows = data_rows(out / "escape_stats.csv")
+    assert rows[0][2:] == ["", "", "5", "1"]
+    assert rows[0][1] != ""
+    # the same holds for a training arm with one escape
+    cfg = {"schema_version": 1, "technique": "training", "width_steps": 12,
+           "trials": 10, "max_cycles": 20}
+    rc, out = invoke(tmp_path, "compare", cfg, "--seed", "0", tag="t")
+    assert rc == 0
+    s = json.loads((out / "summary.json").read_text(), parse_constant=_reject_nan)
+    assert (s["baseline_escaped"], s["treated_escaped"]) == (1, 5)
+    assert s["p_value"] is None
+    header, rows = data_rows(out / "reduction.csv")
+    row = dict(zip(header, rows[0]))
+    assert row["baseline_std"] == ""
+    assert row["treated_std"] != ""
+
+
 def test_simulate_and_training_count_escaped_trials(tmp_path):
     # within 40 cycles only some trials escape from either start
     rc, out = invoke(tmp_path, "simulate", simulate_cfg(max_cycles=40), "--seed", "2", tag="s")
@@ -256,6 +279,8 @@ def test_compare_training_without_escapes_warns_nothing(tmp_path, capsys):
     assert s["treated_escaped"] == 0
     assert s["p_value"] is None
     assert s["treated_mean"] is None
+    header, rows = data_rows(out / "reduction.csv")
+    assert dict(zip(header, rows[0]))["treated_std"] == ""
 
 
 # ---------------------------------------------------------------- errors
@@ -557,6 +582,20 @@ def test_python_m_runs_from_source(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["n_at_confidence"] == [7, 48]
+
+
+def test_import_leaves_scipy_signal_and_stats_unloaded():
+    # they cost most of the import time and serve only as test oracles
+    code = (
+        "import sys, mesosettle, mesosettle.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_source_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_runs(tmp_path):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import ttest_ind
 
 from mesosettle.jitter import (
     WindowSpec, build_biased_chain, build_isi1_chain, isi1_trace, mismatch_substeps,
@@ -9,6 +12,7 @@ from mesosettle.jitter import (
 from mesosettle.markov import absorption_stats
 from mesosettle.reduction import (
     CoarseFirstEstimate,
+    _welch_less_pvalue,
     coarse_first_confidence,
     compare_mismatch,
     compare_training,
@@ -94,6 +98,38 @@ def test_training_cuts_settling_time():
     assert baseline.escaped_fraction == 1.0
     assert treated.escaped_fraction == 1.0
     assert report.positions.tolist() == [20]
+
+
+def scipy_welch_less(t, b) -> float:
+    with warnings.catch_warnings():
+        # scipy warns of precision loss on samples with no spread
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return float(ttest_ind(t, b, equal_var=False, alternative="less").pvalue)
+
+
+def test_welch_closed_form_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for i in range(3000):
+        # arm sizes 2..3000, most of them small
+        n1, n2 = np.exp(rng.uniform(np.log(2), np.log(3001), 2)).astype(int)
+        if i % 2:
+            t, b = rng.integers(1, 400, n1), rng.integers(1, 600, n2)
+        else:
+            t = rng.normal(300.0, 90.0, n1)
+            b = rng.normal(320.0, 60.0, n2) * rng.uniform(0.1, 10.0)
+        expected = scipy_welch_less(t, b)
+        assert _welch_less_pvalue(t, b) == expected, (i, n1, n2)
+
+
+@pytest.mark.parametrize(
+    "t, b, expected",
+    [([5, 5], [5, 5], np.nan), ([5, 5], [6, 6], 0.0), ([6, 6], [5, 5], 1.0)],
+)
+def test_welch_zero_variance_arms(t, b, expected):
+    # pyproject turns a RuntimeWarning into an error, so these also check
+    # that the closed form divides by zero silently
+    np.testing.assert_equal(_welch_less_pvalue(np.array(t), np.array(b)), expected)
+    np.testing.assert_equal(scipy_welch_less(t, b), expected)
 
 
 def test_training_rejects_tiny_arms():

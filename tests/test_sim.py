@@ -168,6 +168,35 @@ def test_rc_line_matches_per_sample_filter(name):
         assert np.abs(got - expected).max() < 1e-12, label
 
 
+SCAN_POLES = {
+    "grid": np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999]),
+    **{name: sim._RcLine(chan).pole for name, chan in REFERENCE_CHANNELS.items()},
+    # slowest pole 0.987
+    "ladder60": sim._RcLine(ChannelModel.rc(r=1.0, c=0.05, samples_per_ui=80, sections=60)).pole,
+}
+SCAN_LENGTHS = [0, 1, 2, *(2**k + e for k in (2, 5, 10) for e in (-1, 0, 1)), 65537]
+
+
+@pytest.mark.parametrize("name", list(SCAN_POLES))
+def test_lfilter_scan_matches_scipy(name):
+    rng = np.random.default_rng(5)
+    for n in SCAN_LENGTHS:
+        x = rng.integers(0, 3, n).astype(float)
+        for p in SCAN_POLES[name]:
+            for zi in (0.0, 0.75 * p):
+                b, a = [1.0 - p], [1.0, -p]
+                got, zf = sim.lfilter(b, a, x, [zi])
+                ref, ref_zf = lfilter(b, a, x, zi=[zi])
+                assert got.shape == (n,)
+                if not n:
+                    # an empty input leaves the state as it was
+                    assert zf.tolist() == [zi]
+                    continue
+                scale = max(np.abs(ref).max(), abs(zi))
+                assert np.abs(got - ref).max() <= 1e-12 * scale, (n, p, zi)
+                assert abs(zf[0] - ref_zf[0]) <= 1e-12 * scale, (n, p, zi)
+
+
 class FixedFeed:
     def __init__(self, bits):
         self.bits, self.at = bits, 0
@@ -740,3 +769,11 @@ def test_censored_trials_are_counted():
     assert (res.exit_sides[censored] == 0).all()
     # the statistics cover the escaped trials only
     assert res.mean_cycles == res.escape_cycles[res.escaped_mask].mean()
+
+
+@pytest.mark.parametrize("trials, seed, escaped", [(5, 1, 1), (5, (0, 0), 0)])
+def test_spread_is_nan_below_two_escapes(trials, seed, escaped):
+    res = run_monte_carlo(isi1_config(12, max_cycles=20), trials, seed)
+    assert res.n_escaped == escaped
+    assert np.isnan(res.std_cycles)
+    assert np.isnan(res.stderr_cycles)
