@@ -11,14 +11,20 @@ blocks of ``_BLOCK_TRIALS`` trials, each round holding at most
 batch of one.  Every other trial (jitter, interior ISI-2 crossings, RC
 lines) is a crossing-stream producer feeding ``_walk``, which moves the
 clock one crossing at a time because each move depends on the position.
-Trial k of a run always draws from its own ``default_rng((base_seed,
-k))``, so its result does not depend on the batch or the trial count.
+Trial k of a run always draws the stream of its own
+``default_rng((base_seed, k))``, so its result does not depend on the
+batch or the trial count.  ``_trial_rngs`` produces those streams a block
+at a time: it runs SeedSequence's hashing and PCG64's seeding for the
+whole block as array arithmetic and loads each state into a reused
+generator, which draws what ``default_rng`` would have drawn.
 Waveform helpers drive the RC ladder to produce eye diagrams and folded
 crossing histograms for window extraction.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 
@@ -52,7 +58,8 @@ TRAINING_PATTERN: tuple[int, ...] = (0, 0, 1, 0, 0, 1, 1, 1)
 # cycles per chunk of one walk: the first, and the cap as it grows fourfold
 _CHUNK0 = 1024
 _CHUNK_MAX = 65536
-# edge walks: trials stepped together, and (trial, cycle) cells per round
+# trials seeded together (and edge walks stepped together), and the
+# (trial, cycle) cells of one edge-walk round
 _BLOCK_TRIALS = 512
 _ROUND_ELEMENTS = 1 << 15
 
@@ -443,10 +450,11 @@ def _is_edge_walk(config: TrialConfig) -> bool:
     return edge
 
 
-def _edge_walks(config: TrialConfig, seeds, record: bool = False):
-    """Edge walks of one config, one trial per seed, stepped together.
+def _edge_walks(config: TrialConfig, rngs, record: bool = False):
+    """Edge walks of one config, one trial per generator, stepped together.
 
-    Trial k draws from its own default_rng(seeds[k]), in a fixed order:
+    Trial k draws from its own generator rngs[k] (a block of _trial_rngs,
+    or run_trial's default_rng), in a fixed order:
     the pattern phase, the ctx bits, the coarse coin, then payload bits;
     so no trial depends on the others in its batch.  Each round stacks the
     active trials' next bits into one (trials, cycles) block, maps every
@@ -458,8 +466,8 @@ def _edge_walks(config: TrialConfig, seeds, record: bool = False):
     (-1 left, +1 right, 0 none) and, when record is set on a batch of
     one, the trajectory in steps.
     """
-    cycles = np.full(len(seeds), -1, dtype=np.int64)
-    sides = np.zeros(len(seeds), dtype=np.int8)
+    cycles = np.full(len(rngs), -1, dtype=np.int64)
+    sides = np.zeros(len(rngs), dtype=np.int8)
     w = config.window.width_steps
     if w == 0:
         # degenerate window: the start position is already at the edge
@@ -478,15 +486,14 @@ def _edge_walks(config: TrialConfig, seeds, record: bool = False):
     latch = min(coarse.duration_cycles, config.max_cycles) if coarse is not None else 0
 
     # each trial's draws keep their order: phase, ctx bits, coin, payload
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     phase = np.array([_start_phase(source, r) for r in rngs])
     tail = generate_bits(source, ctx, rngs, phase)
     phase += ctx
-    held = np.zeros(len(seeds), dtype=np.int64)
+    held = np.zeros(len(rngs), dtype=np.int64)
     if latch:
         # the latch starts at a coin-chosen edge; the left one turns the clock right
         held[:] = [1 if r.random() < 0.5 else -1 for r in rngs]
-    rows = np.arange(len(seeds))
+    rows = np.arange(len(rngs))
     pos = np.full(rows.size, config.initial * s_r, dtype=np.int64)
     traj = [pos[:1]] if record else None
     base, chunk = 0, _CHUNK0
@@ -529,11 +536,12 @@ def _edge_walks(config: TrialConfig, seeds, record: bool = False):
 
 
 def run_trial(config: TrialConfig, seed) -> TrialResult:
-    """One trial; seed may be an int or a sequence of ints."""
-    if _is_edge_walk(config):
-        cycles, sides, traj = _edge_walks(config, [seed], config.record_trajectory)
-        return _trial_result(cycles[0], sides[0], traj)
+    """One trial drawing from default_rng(seed): seed may be an int, a
+    sequence of ints or a Generator, which the trial then draws from."""
     rng = np.random.default_rng(seed)
+    if _is_edge_walk(config):
+        cycles, sides, traj = _edge_walks(config, [rng], config.record_trajectory)
+        return _trial_result(cycles[0], sides[0], traj)
     if config.channel.kind == "rc_line":
         return _rc_trial(config, rng)
     trace = config.channel.require_trace()
@@ -593,34 +601,151 @@ def _rc_events(line: _RcLine, take, band: float, win_ui: float, scale: float):
 
 
 def _trial_seed(base_seed, k: int):
+    """Trial k's seed: the entries of a list or tuple base_seed, or the
+    scalar itself, then k; default_rng judges the entries."""
     if isinstance(base_seed, (list, tuple)):
-        return tuple(base_seed) + (k,)
-    return (int(base_seed), k)
+        return (*base_seed, k)
+    return (base_seed, k)
+
+
+# SeedSequence's hash constants (NumPy NEP 19) and PCG64's 128-bit LCG
+# multiplier (O'Neill 2014)
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_SS_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = (1 << 32) - 1
+_M128 = (1 << 128) - 1
+
+
+def _seed_words(base_seed) -> list[int] | None:
+    """SeedSequence's uint32 entropy words for the entries of base_seed,
+    low word first within each; None for a base the fast path leaves to
+    default_rng (a negative, non-integer or nested entry)."""
+    words = []
+    for v in base_seed if isinstance(base_seed, (list, tuple)) else (base_seed,):
+        if not isinstance(v, (int, np.integer)) or v < 0:
+            return None
+        v = int(v)
+        words.append(v & _M32)
+        while v := v >> 32:
+            words.append(v & _M32)
+    return words
+
+
+def _pcg64_states(base_seed, lo: int, hi: int) -> list[tuple[int, int]] | None:
+    """(state, inc) of default_rng(_trial_seed(base_seed, k)) for k in
+    [lo, hi), or None when the seeds are not plain non-negative integers
+    with k < 2**32.
+
+    SeedSequence's pool mixing and generate_state(4, uint64) run once for
+    the block: words before k's stay Python ints, and from k's word on
+    every value is a uint32 array over the block, wrapping as the C code
+    does.  PCG64's srandom then takes the first two words as the initial
+    state and the last two as the stream.
+    """
+    prefix = _seed_words(base_seed)
+    if prefix is None or hi > 1 << 32:
+        return None
+    entropy = [*prefix, np.arange(lo, hi, dtype=np.uint32)]
+    entropy += [0] * (_SS_POOL - len(entropy))
+    h = _SS_INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * _SS_MULT_A & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        v = ((_SS_MIX_L * x & _M32) - (_SS_MIX_R * y & _M32)) & _M32
+        return v ^ v >> 16
+
+    pool = [hashmix(e) for e in entropy[:_SS_POOL]]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[_SS_POOL:]:
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashmix(e))
+
+    h, words = _SS_INIT_B, []
+    for i in range(8):
+        v = pool[i % _SS_POOL] ^ h
+        h = h * _SS_MULT_B & _M32
+        v = v * h & _M32
+        words.append(v ^ v >> 16)
+    # uint32 pairs read little-endian as the four uint64 words
+    seeds = np.stack(words, axis=1).astype("<u4").view("<u8").tolist()
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in seeds:
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        out.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc))
+    return out
+
+
+# generators that no live batch holds, per thread
+_FREE_RNGS = threading.local()
+
+
+@contextmanager
+def _trial_rngs(base_seed, lo: int, hi: int):
+    """The generators of trials lo..hi-1 of a run, each drawing exactly the
+    stream of default_rng(_trial_seed(base_seed, k)).
+
+    The states come from _pcg64_states and load into generators taken from
+    this thread's free list, which grows on first use; they go back when
+    the block ends, so no generator serves two live batches.  Seeds outside
+    the fast path go through default_rng, which raises as it always has.
+    """
+    states = _pcg64_states(base_seed, lo, hi)
+    if states is None:
+        yield [np.random.default_rng(_trial_seed(base_seed, k)) for k in range(lo, hi)]
+        return
+    free = _FREE_RNGS.__dict__.setdefault("rngs", [])
+    rngs = [free.pop() if free else np.random.Generator(np.random.PCG64(0)) for _ in states]
+    for rng, (state, inc) in zip(rngs, states):
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    try:
+        yield rngs
+    finally:
+        free.extend(rngs)
 
 
 def run_monte_carlo(config: TrialConfig, trials: int, base_seed) -> MonteCarloResult:
     """Independent trials with per-trial seeds (base_seed, trial_index).
 
-    Edge walks run _BLOCK_TRIALS trials at a time through _edge_walks;
-    every other walk runs one run_trial per trial.  Trial k's result does
-    not depend on the trial count.  Trajectories are not recorded.
+    Trials run in blocks of _BLOCK_TRIALS, each seeded at once by
+    _trial_rngs: edge walks step a block together through _edge_walks,
+    and every other walk runs run_trial on each trial's generator.  Trial
+    k's result does not depend on the trial count.  Trajectories are not
+    recorded.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     cycles = np.full(trials, -1, dtype=np.int64)
     sides = np.zeros(trials, dtype=np.int8)
-    if _is_edge_walk(config):
-        for lo in range(0, trials, _BLOCK_TRIALS):
-            hi = min(lo + _BLOCK_TRIALS, trials)
-            seeds = [_trial_seed(base_seed, k) for k in range(lo, hi)]
-            cycles[lo:hi], sides[lo:hi], _ = _edge_walks(config, seeds)
-        return MonteCarloResult(cycles, sides)
+    edge = _is_edge_walk(config)
     cfg = replace(config, record_trajectory=False)
-    for k in range(trials):
-        res = run_trial(cfg, _trial_seed(base_seed, k))
-        if res.escaped:
-            cycles[k] = res.escape_cycle
-            sides[k] = -1 if res.exit_side == "left" else 1
+    for lo in range(0, trials, _BLOCK_TRIALS):
+        hi = min(lo + _BLOCK_TRIALS, trials)
+        with _trial_rngs(base_seed, lo, hi) as rngs:
+            if edge:
+                cycles[lo:hi], sides[lo:hi], _ = _edge_walks(cfg, rngs)
+                continue
+            for k, rng in enumerate(rngs, lo):
+                res = run_trial(cfg, rng)
+                if res.escaped:
+                    cycles[k] = res.escape_cycle
+                    sides[k] = -1 if res.exit_side == "left" else 1
     return MonteCarloResult(cycles, sides)
 
 

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -705,9 +708,11 @@ def test_edge_cases_are_batched():
 
 def batch_cases():
     """The edge cases of walk_stream_cases(), plus a pattern whose length
-    divides no round, so a trial's pattern phase must carry across rounds."""
+    divides no round, so a trial's pattern phase must carry across rounds,
+    and the short jittered and ISI-2 walks, which run a trial at a time."""
     cases = {name: walk_stream_cases()[name] for name in EDGE_CASES}
     cases["explicit-odd"] = replace(isi1_config(200), source=BitSource.explicit([1, 1, 0, 1, 0]))
+    cases.update({name: walk_stream_cases()[name] for name in ("jitter", "isi2-ties")})
     return cases
 
 
@@ -717,12 +722,32 @@ def test_batch_matches_single_trials_and_oracle(name):
     trials = sim._BLOCK_TRIALS + 7  # two blocks
     big = batch_results(run_monte_carlo(cfg, trials, 3))
     assert big == solo_results(cfg, 3, trials)
-    # the oracle walks a cycle at a time, so it checks the ends of each block
-    for k in (*range(7), *range(sim._BLOCK_TRIALS - 7, trials)):
-        assert big[k] == edge_walk_oracle(cfg, sim._trial_seed(3, k)), k
+    if sim._is_edge_walk(cfg):
+        # the oracle walks a cycle at a time, so it checks the ends of each block
+        for k in (*range(7), *range(sim._BLOCK_TRIALS - 7, trials)):
+            assert big[k] == edge_walk_oracle(cfg, sim._trial_seed(3, k)), k
     # trial k does not depend on how many trials run
     for m in (1, 7):
         assert batch_results(run_monte_carlo(cfg, m, 3)) == big[:m]
+
+
+def test_threads_match_serial_runs():
+    """Runs in four threads at once give the serial results: a thread never
+    loads a seed into a generator that a live block of another one holds."""
+    names = ["isi1", "jitter", "coarse-long", "isi2-ties"] * 2
+    cases = batch_cases()
+
+    def run(name):
+        return batch_results(run_monte_carlo(cases[name], sim._BLOCK_TRIALS + 7, 5))
+
+    serial = [run(name) for name in names]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            assert list(pool.map(run, names, timeout=120)) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def cut_cases():
@@ -777,3 +802,70 @@ def test_spread_is_nan_below_two_escapes(trials, seed, escaped):
     assert res.n_escaped == escaped
     assert np.isnan(res.std_cycles)
     assert np.isnan(res.stderr_cycles)
+
+
+# ---------------------------------------------------------------- seeding
+
+
+def first_draws(rng) -> list:
+    """A generator's first 8 random() draws, then one integers(8) draw."""
+    return [*rng.random(8).tolist(), int(rng.integers(8))]
+
+
+# scalars at the one- and two-word edges, list bases of one to three
+# entries, and a base of six words, longer than SeedSequence's 4-word pool
+FAST_BASES = [0, 2**32 - 1, 2**32, 2**64 - 1, [], [5], (3, 2), [2**64 - 1, 0, 9],
+              [2**100 + 3, 2**40]]
+
+
+@pytest.mark.parametrize("base", FAST_BASES, ids=str)
+def test_trial_rngs_draw_default_rng_streams(base):
+    """The block seeding reproduces SeedSequence and PCG64 seeding exactly;
+    this fails first if numpy changes either algorithm."""
+    assert sim._pcg64_states(base, 0, 1) is not None
+    ks = (0, 1, *range(510, 515))  # 510-514 straddle the first block boundary
+    got = {}
+    for lo in (0, sim._BLOCK_TRIALS):
+        with sim._trial_rngs(base, lo, lo + sim._BLOCK_TRIALS) as rngs:
+            got.update({k: first_draws(rng) for k, rng in enumerate(rngs, lo) if k in ks})
+    assert got == {k: first_draws(np.random.default_rng(sim._trial_seed(base, k))) for k in ks}
+
+
+def test_pooled_generators_start_clean():
+    """integers(8) leaves half of a 64-bit draw buffered; a generator that
+    goes back to the pool so must not hand that half to its next trial."""
+    for _ in range(2):
+        with sim._trial_rngs(4, 0, 3) as rngs:
+            got = [int(rng.integers(8)) for rng in rngs]
+        assert got == [int(np.random.default_rng((4, k)).integers(8)) for k in range(3)]
+
+
+@pytest.mark.parametrize(
+    "base, lo",
+    [(7.9, 0), ([7.9], 0), (-1, 0), ([3, -2], 0), (np.True_, 0), ("7", 0), (None, 0),
+     ([[1, 2], 3], 0), (np.array([5, 6]), 0), (3, 2**32 - 2), (3, 2**40)],
+    ids=str,
+)
+def test_trial_rngs_fall_back_to_default_rng(base, lo):
+    """Seeds the fast path does not cover -- negative, non-integer or
+    nested entries, k >= 2**32 -- raise as default_rng raises, or draw
+    its streams."""
+    assert sim._pcg64_states(base, lo, lo + 4) is None
+    try:
+        want = [first_draws(np.random.default_rng(sim._trial_seed(base, k)))
+                for k in range(lo, lo + 4)]
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            with sim._trial_rngs(base, lo, lo + 4):
+                pass
+        return
+    with sim._trial_rngs(base, lo, lo + 4) as rngs:
+        assert [first_draws(rng) for rng in rngs] == want
+
+
+@pytest.mark.parametrize("name", ["isi1", "jitter"])
+def test_float_base_seed_is_rejected(name):
+    """A float base raises as default_rng((7.9, k)) does; it is never
+    truncated to seed 7."""
+    with pytest.raises(TypeError, match="seed must be integer"):
+        run_monte_carlo(batch_cases()[name], 3, 7.9)
