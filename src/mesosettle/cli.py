@@ -572,9 +572,9 @@ def main(argv=None) -> int:
         # LinAlgError is a ValueError: caught here first, it stays a numerical failure
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:
         # every parameter the library sees comes from the config or the command
-        # line, so a value the library refuses is a config error
+        # line, so a value or a size the library cannot take is a config error
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -9,8 +9,9 @@ with a fair coin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 from scipy.sparse import coo_array
@@ -110,11 +111,18 @@ ISI2_SUCCESSORS: dict[str, tuple[str, str]] = {
 
 @dataclass(frozen=True)
 class IsiTraceModel:
-    """Crossing positions and the pattern table that selects among them."""
+    """Crossing positions and the pattern table that selects among them.
+
+    codes[i] is the crossing index of the window of order + 2 bits that
+    spells i in binary, oldest bit highest, or -1 for none.  ISI-1 keys are
+    (previous, current, next) bits and ISI-2 keys a packed three-bit history
+    plus the next bit, so reading a key as binary digits gives its window.
+    """
 
     order: int
     crossing_positions: tuple[float, ...]
     transition_table: dict
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order not in (1, 2):
@@ -122,6 +130,12 @@ class IsiTraceModel:
         pos = self.crossing_positions
         if any(b <= a for a, b in zip(pos, pos[1:])):
             raise ValueError("crossing positions must be strictly increasing")
+        codes = np.full(2 ** (self.order + 2), -1, dtype=np.int8)
+        for key, label in self.transition_table.items():
+            if label is not None:
+                codes[reduce(lambda hi, lo: 2 * hi + lo, key)] = "ABCD".index(label)
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
 
     @property
     def width_steps(self) -> float:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -152,11 +151,6 @@ class ChannelModel:
     def section_tau_ui(self) -> float:
         return self.r_per_section * self.c_per_section_ui
 
-    def require_trace(self) -> IsiTraceModel:
-        if self.trace is None:
-            raise ValueError("this operation needs a discrete_trace channel")
-        return self.trace
-
 
 # frozen ladder operating points: single-, double- and quadruple-peaked
 # crossing histograms at matched dt <= RC/4
@@ -208,7 +202,7 @@ class TrialConfig:
             if self.coarse_first is not None:
                 raise ValueError("coarse acquisition needs a discrete trace channel")
             return
-        trace = self.channel.require_trace()
+        trace = self.channel.trace
         if self.window is None:
             raise ValueError("discrete trials need an explicit window")
         width = self.window.width_steps
@@ -221,6 +215,11 @@ class TrialConfig:
             raise ValueError("crossing band must fit inside the window")
         if not 0 < self.initial < width:
             raise ValueError("initial position must lie strictly inside the window")
+        coarse = self.coarse_first
+        if coarse is not None and coarse.duration_cycles > 0:
+            edge = self.channel.jitter is None and set(pos) <= {0, width}
+            if not (edge and trace.order == 1 and len(pos) == 2):
+                raise ValueError("coarse acquisition supports clean two-crossing traces only")
 
     @property
     def initial(self) -> int:
@@ -313,59 +312,55 @@ def generate_bits(source: BitSource, n: int, rng, phase=0) -> np.ndarray:
     return (u < source.p).view(np.int8)
 
 
-def _start_phase(source: BitSource, rng: np.random.Generator) -> int:
-    """A trial's first draw: a random phase decorrelates trials of a
-    periodic source; other sources start at 0 and draw nothing."""
-    if source.kind in ("training_biased", "alternating"):
-        return int(rng.integers(len(source.pattern)))
-    return 0
+class _BitStreams:
+    """The bit streams of a batch of trials, one per generator.
 
-
-def _bit_feed(source: BitSource, rng: np.random.Generator):
-    """One trial's bit stream for the per-crossing producers: take(n) gives
-    the next n bits."""
-    phase = _start_phase(source, rng)
-
-    def take(n: int) -> np.ndarray:
-        nonlocal phase
-        phase += n
-        return generate_bits(source, n, rng, phase - n)
-
-    return take
-
-
-@lru_cache(maxsize=8)
-def _code_table(order: int, table: tuple) -> np.ndarray:
-    """Crossing index per window of order + 2 bits (oldest bit highest), -1 for none.
-
-    ISI-1 keys are (previous, current, next) bits and ISI-2 keys a packed
-    three-bit history plus the next bit, so reading a key as binary
-    digits gives its window either way.
+    Each trial's first draw is its pattern phase, which decorrelates trials
+    of a periodic source; other sources start at 0 and draw nothing.
+    take(n) gives each live trial's next n bits as a row of a (trials, n)
+    block, and keep(live) retires the trials that the mask live leaves out.
     """
-    lut = np.full(2 ** (order + 2), -1, dtype=np.int8)
-    for key, label in table:
-        if label is not None:
-            lut[reduce(lambda hi, lo: 2 * hi + lo, key)] = "ABCD".index(label)
-    return lut
+
+    def __init__(self, source: BitSource, rngs):
+        self.source, self.rngs = source, list(rngs)
+        period = len(source.pattern) if source.kind in ("training_biased", "alternating") else 0
+        self.phase = np.array([int(r.integers(period)) if period else 0 for r in self.rngs])
+
+    def take(self, n: int) -> np.ndarray:
+        bits = generate_bits(self.source, n, self.rngs, self.phase)
+        self.phase += n
+        return bits
+
+    def keep(self, live: np.ndarray) -> None:
+        self.rngs = [r for r, keep in zip(self.rngs, live) if keep]
+        self.phase = self.phase[live]
 
 
-def _trace_events(trace: IsiTraceModel, cross: np.ndarray, sigma: float, take, rng):
-    """Crossing producer of a discrete trace: codes read off the bit stream."""
-    lut = _code_table(trace.order, tuple(trace.transition_table.items()))
+def _windows(seq: np.ndarray, ctx: int) -> np.ndarray:
+    """Every run of ctx + 1 bits along seq's last axis read as a binary
+    number, oldest bit highest: the index into IsiTraceModel.codes."""
+    n = seq.shape[-1] - ctx
+    # windows of at most four bits fit in int8
+    key = seq[..., :n]
+    for j in range(1, ctx + 1):
+        key = 2 * key + seq[..., j : j + n]
+    return key.astype(np.intp)
+
+
+def _trace_events(trace: IsiTraceModel, cross: np.ndarray, sigma: float, bits: _BitStreams):
+    """Crossing producer of a discrete trace: codes read off one trial's bit stream."""
     ctx = trace.order + 1
-    weights = 2 ** np.arange(ctx + 1)
-    tail = take(ctx)
+    tail = bits.take(ctx)
 
     def events(n: int) -> tuple[np.ndarray, np.ndarray]:
         nonlocal tail
-        seq = np.concatenate([tail, take(n)])
-        tail = seq[-ctx:]
-        # convolution reverses the weights, so the oldest bit weighs most
-        code = lut[np.convolve(seq, weights, "valid")]
+        seq = np.concatenate([tail, bits.take(n)], axis=1)
+        tail = seq[:, -ctx:]
+        code = trace.codes[_windows(seq, ctx)[0]]
         t = np.flatnonzero(code >= 0)
         c = cross[code[t]]
         if sigma:
-            c = c + sigma * rng.standard_normal(t.size)
+            c = c + sigma * bits.rngs[0].standard_normal(t.size)
         return t, c
 
     return events
@@ -439,15 +434,9 @@ def _is_edge_walk(config: TrialConfig) -> bool:
     if config.channel.kind == "rc_line":
         return False
     w = config.window.width_steps
-    if w == 0:
-        return True
-    trace = config.channel.require_trace()
-    edge = config.channel.jitter is None and set(trace.crossing_positions) <= {0, w}
-    coarse = config.coarse_first
-    if coarse is not None and coarse.duration_cycles > 0:
-        if not (edge and trace.order == 1 and len(trace.crossing_positions) == 2):
-            raise ValueError("coarse acquisition supports clean two-crossing traces only")
-    return edge
+    return w == 0 or (
+        config.channel.jitter is None and set(config.channel.trace.crossing_positions) <= {0, w}
+    )
 
 
 def _edge_walks(config: TrialConfig, rngs, record: bool = False):
@@ -458,7 +447,7 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
     the pattern phase, the ctx bits, the coarse coin, then payload bits;
     so no trial depends on the others in its batch.  Each round stacks the
     active trials' next bits into one (trials, cycles) block, maps every
-    bit window to a turn (+1 right, -1 left, 0 quiet) through _code_table,
+    bit window to a turn (+1 right, -1 left, 0 quiet) through the trace's codes,
     holds the latest turn through quiet cycles while the coarse latch
     runs, and takes each row's walk as a prefix sum of its moves; rows
     that escaped retire.  A round holds at most _ROUND_ELEMENTS cycles
@@ -473,22 +462,20 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
         # degenerate window: the start position is already at the edge
         cycles[:], sides[:] = 0, -1
         return cycles, sides, np.zeros(1) if record else None
-    trace = config.channel.require_trace()
-    source = config.source
+    trace = config.channel.trace
     s_l, s_r = config._substeps
     g = w * s_r
-    lut = _code_table(trace.order, tuple(trace.transition_table.items()))
     # a crossing on the left edge lies left of every interior clock
-    turn = np.where(lut < 0, 0, np.where(np.asarray(trace.crossing_positions)[lut] <= 0, 1, -1))
+    left = np.asarray(trace.crossing_positions)[trace.codes] <= 0
+    turn = np.where(trace.codes < 0, 0, np.where(left, 1, -1))
     fine = np.where(turn > 0, s_r, np.where(turn < 0, -s_l, 0))
     ctx = trace.order + 1
     coarse = config.coarse_first
     latch = min(coarse.duration_cycles, config.max_cycles) if coarse is not None else 0
 
     # each trial's draws keep their order: phase, ctx bits, coin, payload
-    phase = np.array([_start_phase(source, r) for r in rngs])
-    tail = generate_bits(source, ctx, rngs, phase)
-    phase += ctx
+    bits = _BitStreams(config.source, rngs)
+    tail = bits.take(ctx)
     held = np.zeros(len(rngs), dtype=np.int64)
     if latch:
         # the latch starts at a coin-chosen edge; the left one turns the clock right
@@ -501,12 +488,8 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
         latched = base < latch
         stop = latch if latched else config.max_cycles
         n = min(chunk, max(1, _ROUND_ELEMENTS // rows.size), stop - base)
-        seq = np.concatenate([tail, generate_bits(source, n, rngs, phase)], axis=1)
-        # windows of at most four bits fit in int8
-        key = seq[:, :n]
-        for j in range(1, ctx + 1):
-            key = 2 * key + seq[:, j : j + n]
-        key = key.astype(np.intp)
+        seq = np.concatenate([tail, bits.take(n)], axis=1)
+        key = _windows(seq, ctx)
         if latched:
             # column 0 holds the previous round's latch, column j cycle j - 1's turn
             t = np.concatenate([held[:, None], turn[key]], axis=1)
@@ -526,8 +509,8 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
         cycles[rows[hit]] = base + at[hit] + 1
         sides[rows[hit]] = np.where(path[hit, at[hit]] <= 0, -1, 1)
         live = ~hit
-        rngs = [r for r, keep in zip(rngs, live) if keep]
-        rows, pos, phase = rows[live], path[live, -1], phase[live] + n
+        bits.keep(live)
+        rows, pos = rows[live], path[live, -1]
         tail, held = seq[live, -ctx:], held[live]
         base += n
         chunk = min(chunk * 4, _CHUNK_MAX)
@@ -544,11 +527,11 @@ def run_trial(config: TrialConfig, seed) -> TrialResult:
         return _trial_result(cycles[0], sides[0], traj)
     if config.channel.kind == "rc_line":
         return _rc_trial(config, rng)
-    trace = config.channel.require_trace()
+    trace = config.channel.trace
     s_r = config._substeps[1]
     cross = np.asarray(trace.crossing_positions) * s_r
     sigma = config.channel.jitter.sigma_steps * s_r if config.channel.jitter else 0.0
-    events = _trace_events(trace, cross, sigma, _bit_feed(config.source, rng), rng)
+    events = _trace_events(trace, cross, sigma, _BitStreams(config.source, [rng]))
     return _walk(events, config.max_cycles, config.initial * s_r, config.window.width_steps,
                  config._substeps, rng, config.record_trajectory)
 
@@ -574,20 +557,20 @@ def _rc_trial(config: TrialConfig, rng: np.random.Generator) -> TrialResult:
         raise ValueError(
             f"initial position must lie strictly inside the measured {w}-step window"
         )
-    events = _rc_events(line, _bit_feed(config.source, rng), hist.band_start_ui, win_ui,
+    events = _rc_events(line, _BitStreams(config.source, [rng]), hist.band_start_ui, win_ui,
                         s_r / config.step_tau)
     return _walk(events, config.max_cycles, init * s_r, w, config._substeps, rng,
                  config.record_trajectory)
 
 
-def _rc_events(line: _RcLine, take, band: float, win_ui: float, scale: float):
+def _rc_events(line: _RcLine, bits: _BitStreams, band: float, win_ui: float, scale: float):
     """Crossing producer of an RC line: the first crossing of each cycle,
     placed relative to the band start and scaled to sub-steps."""
     last = -2  # cycle of the previous chunk's last crossing, counted from this chunk
 
     def events(n: int) -> tuple[np.ndarray, np.ndarray]:
         nonlocal last
-        t_ui = line.crossings(take(n))
+        t_ui = line.crossings(bits.take(n)[0])
         ui = np.floor(t_ui).astype(np.int64)
         # a lookback crossing (ui -1) is first only if the previous chunk
         # gave its cycle none

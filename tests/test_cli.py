@@ -349,6 +349,25 @@ def test_unknown_channel_preset_exits_2(tmp_path):
     assert rc == 2
 
 
+# sizes whose first allocation (8 bytes an element) already exceeds any
+# address space, so numpy fails at once instead of filling memory
+HUGE = 10**15
+
+
+def test_huge_trial_count_exits_2(tmp_path, capsys):
+    rc, _ = invoke(tmp_path, "simulate", simulate_cfg(), "--seed", "1", "--trials", str(HUGE))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_huge_analyze_window_exits_2(tmp_path, capsys):
+    rc, _ = invoke(
+        tmp_path, "analyze", {"schema_version": 1, "model": "isi1", "width_steps": HUGE}
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 COMBINED = {"schema_version": 1, "model": "combined", "sigma_steps": 5, "w_ab_steps": 40}
 # a start on an absorbing position: the right edge of each window
 OFF_CHAIN_STARTS = [
@@ -596,6 +615,18 @@ def test_import_leaves_scipy_signal_and_stats_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_pyproject_reads_the_package_version():
+    """pyproject.toml names no version of its own; setuptools reads the package's."""
+    if tomllib is None:
+        pytest.skip("No module named 'tomllib'")
+    with open(REPO / "pyproject.toml", "rb") as f:
+        meta = tomllib.load(f)
+    assert "version" not in meta["project"]
+    assert "version" in meta["project"]["dynamic"]
+    attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    assert attr == "mesosettle.__version__"
 
 
 def test_console_script_runs(tmp_path):

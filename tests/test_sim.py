@@ -201,17 +201,19 @@ def test_lfilter_scan_matches_scipy(name):
 
 
 class FixedFeed:
+    """Fixed bits in place of a one-trial sim._BitStreams: take(n) gives a (1, n) block."""
+
     def __init__(self, bits):
         self.bits, self.at = bits, 0
 
     def take(self, n):
         self.at += n
-        return self.bits[self.at - n : self.at]
+        return self.bits[None, self.at - n : self.at]
 
 
 def first_crossing_stream(chan, bits, chunk):
     """(cycle, position) of each cycle's first crossing, fed chunk UIs at a time."""
-    events = sim._rc_events(sim._RcLine(chan), FixedFeed(bits).take, 0.0, 0.5, 1.0)
+    events = sim._rc_events(sim._RcLine(chan), FixedFeed(bits), 0.0, 0.5, 1.0)
     cycles, positions = [], []
     for base in range(0, bits.size, chunk):
         t, c = events(min(chunk, bits.size - base))
@@ -444,16 +446,15 @@ def test_jitter_needs_discrete_channel():
 
 
 def test_coarse_rejects_jittered_trace():
-    cfg = TrialConfig(
-        channel=ChannelModel.discrete(
-            isi1_trace(12), jitter=GaussianJitterSpec(sigma_steps=0.5)
-        ),
-        source=BitSource.bernoulli(0.5),
-        window=WindowSpec(12),
-        coarse_first=CoarseFirstSpec(coarse_step_steps=2, duration_cycles=50),
-    )
-    with pytest.raises(ValueError):
-        run_trial(cfg, 0)
+    with pytest.raises(ValueError, match="coarse"):
+        TrialConfig(
+            channel=ChannelModel.discrete(
+                isi1_trace(12), jitter=GaussianJitterSpec(sigma_steps=0.5)
+            ),
+            source=BitSource.bernoulli(0.5),
+            window=WindowSpec(12),
+            coarse_first=CoarseFirstSpec(coarse_step_steps=2, duration_cycles=50),
+        )
 
 
 # ---------------------------------------------------------------- rc trials
@@ -541,14 +542,13 @@ def test_coarse_step_every_cycle():
 
 
 def test_coarse_rejects_four_crossing_trace():
-    cfg = TrialConfig(
-        channel=ChannelModel.discrete(isi2_trace(3, 4, 3)),
-        source=BitSource.bernoulli(0.5),
-        window=WindowSpec(10),
-        coarse_first=CoarseFirstSpec(1, 10),
-    )
     with pytest.raises(ValueError, match="coarse"):
-        run_trial(cfg, 0)
+        TrialConfig(
+            channel=ChannelModel.discrete(isi2_trace(3, 4, 3)),
+            source=BitSource.bernoulli(0.5),
+            window=WindowSpec(10),
+            coarse_first=CoarseFirstSpec(1, 10),
+        )
 
 
 # ---------------------------------------------------------- chain walker
@@ -640,6 +640,46 @@ def test_walk_stream_matches_parent():
     the separate loops that the single walk kernel replaced."""
     expected = json.loads(WALK_STREAM_TABLE.read_text())
     assert walk_stream_digests() == expected
+
+
+def table_label(trace, window):
+    """The transition_table label of a window of order + 2 bits, oldest bit
+    highest: ISI-1 keys are the three bits, ISI-2 keys the three-bit history
+    and the next bit."""
+    if trace.order == 1:
+        return trace.transition_table.get(((window >> 2) & 1, (window >> 1) & 1, window & 1))
+    return trace.transition_table.get((window >> 1, window & 1))
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [isi1_trace(20), isi2_trace(3, 4, 3), walk_stream_cases()["jitter"].channel.trace],
+    ids=["isi1", "isi2", "collar"],
+)
+def test_trace_codes_match_transition_table(trace):
+    want = []
+    for window in range(2 ** (trace.order + 2)):
+        label = table_label(trace, window)
+        want.append(-1 if label is None else "ABCD".index(label))
+    assert trace.codes.tolist() == want
+    with pytest.raises(ValueError, match="read-only"):
+        trace.codes[0] = 0
+
+
+@pytest.mark.parametrize("ctx", [2, 3])
+def test_windows_match_convolution_decode(ctx):
+    """_windows reads the windows that np.convolve with weights 2**j read,
+    on 1-D streams and row by row on a block."""
+    rng = np.random.default_rng(ctx)
+    weights = 2 ** np.arange(ctx + 1)
+    for n in (ctx + 1, ctx + 2, 50, 1000):
+        seq = rng.integers(0, 2, n).astype(np.int8)
+        assert np.array_equal(sim._windows(seq, ctx), np.convolve(seq, weights, "valid"))
+    block = rng.integers(0, 2, (6, 80)).astype(np.int8)
+    got = sim._windows(block, ctx)
+    assert got.shape == (6, 80 - ctx)
+    for row, seq in zip(got, block):
+        assert np.array_equal(row, np.convolve(seq, weights, "valid"))
 
 
 # ------------------------------------------------------------ edge batches
