@@ -24,7 +24,7 @@ for k, (name, channel) in enumerate(REFERENCE_CHANNELS.items()):
     rng = np.random.default_rng([7, k])
     bits = generate_bits(BitSource.bernoulli(0.5), 400, rng)
     wave = propagate_rc(channel, bits)
-    hist = crossing_histogram(wave, channel.samples_per_ui)
+    hist = crossing_histogram(wave, channel.samples_per_ui, bits=bits)
 
     print(f"{name}: {channel.sections} sections,"
           f" RC {channel.section_tau_ui:.4f} UI per section")

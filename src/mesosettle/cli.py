@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 
 import numpy as np
@@ -37,39 +38,93 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    text = "%.12g" % float(v)
-    return "" if text == "nan" else text  # a statistic over no escaped trial
-
-
 def _number(v) -> float | None:
     """JSON value of a statistic; null where no escaped trial gave it."""
     v = float(v)
     return None if np.isnan(v) else v
 
 
-def _atomic_write(path: str, text: str) -> None:
+# rows formatted and written at a time: the text held in memory stays flat
+# however long the columns are
+_CSV_CHUNK_ROWS = 4096
+
+
+def _cells(col) -> list[str]:
+    """One column's cells, by the dtype that np.asarray gives the column.
+
+    Floats print as %.12g and NaN (a statistic over no escaped trial) as
+    an empty cell; integers print in full, bools as 1 or 0, and text as it
+    is.  A column that numpy can hold only as objects (None cells, or
+    integers wider than 64 bits) goes a cell at a time by the same rules,
+    with None as an empty cell.
+    """
+    a = np.asarray(col)
+    if a.ndim != 1:
+        raise TypeError(f"a column must be one-dimensional, got shape {a.shape}")
+    kind = a.dtype.kind
+    if kind == "b":
+        return np.where(a, "1", "0").tolist()
+    if kind in "iu":
+        return list(map(str, a.tolist()))
+    if kind == "f":
+        cells = list(map("%.12g".__mod__, a.tolist()))
+        for i in np.flatnonzero(np.isnan(a)).tolist():
+            cells[i] = ""
+        return cells
+    if kind == "U":
+        return a.tolist()
+    if kind != "O":
+        raise TypeError(f"cannot write a column of {a.dtype}")
+    cells = []
+    for v in a.tolist():
+        if v is None:
+            cells.append("")
+        elif type(v) is int:  # a Python int of any width; bool is not int here
+            cells.append(str(v))
+        else:
+            one = np.asarray([v])
+            if one.dtype.kind == "O":
+                raise TypeError(f"cannot write a cell {v!r}")
+            cells.append(_cells(one)[0])
+    return cells
+
+
+@contextmanager
+def _atomic_open(path: str):
+    """A text file written at path + ".tmp" and moved onto path once
+    complete; on failure the temporary file goes and path is untouched."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """A CSV of one array or sequence per column, formatted column-wise."""
+    lengths = {len(col) for col in columns}
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise ValueError(
+            f"{os.path.basename(path)}: {len(header)} header names for columns of lengths "
+            f"{[len(col) for col in columns]}"
+        )
+    n_rows = lengths.pop() if lengths else 0
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
+            hi = lo + _CSV_CHUNK_ROWS
+            cells = [_cells(col[lo:hi]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_json(path: str, obj: dict) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _pop(cfg: dict, key: str, default=_MISSING):
@@ -246,7 +301,7 @@ def cmd_analyze(args, outdir: str) -> dict:
     _write_csv(
         os.path.join(outdir, "mean_std.csv"),
         ["position_tau", "mean_cycles", "std_cycles"],
-        zip(positions, mean, std),
+        [positions, mean, std],
     )
 
     series = markov.absorption_series(
@@ -255,7 +310,7 @@ def cmd_analyze(args, outdir: str) -> dict:
     _write_csv(
         os.path.join(outdir, "absorption_cdf.csv"),
         ["n", "cdf", "pmf"],
-        zip(range(series.cdf.size), series.cdf, series.pmf),
+        [np.arange(series.cdf.size), series.cdf, series.pmf],
     )
 
     at = int(np.flatnonzero(positions == init)[0])
@@ -330,16 +385,19 @@ def cmd_simulate(args, outdir: str) -> dict:
     if positions is None:
         positions = _default_positions(base_config.window.width_steps)
     configs = [replace(base_config, initial_position=p) for p in positions]
-    rows = []
-    for i, (pos, cfg_i) in enumerate(zip(positions, configs)):
-        res = sim.run_monte_carlo(cfg_i, trials, (seed, i))
-        rows.append(
-            (pos, res.mean_cycles, res.std_cycles, res.stderr_cycles, trials, res.n_escaped)
-        )
+    results = [sim.run_monte_carlo(cfg_i, trials, (seed, i)) for i, cfg_i in enumerate(configs)]
+    means = [res.mean_cycles for res in results]
     _write_csv(
         os.path.join(outdir, "escape_stats.csv"),
         ["position", "mean", "std", "stderr", "trials", "escaped"],
-        rows,
+        [
+            positions,
+            means,
+            [res.std_cycles for res in results],
+            [res.stderr_cycles for res in results],
+            [trials] * len(results),
+            [res.n_escaped for res in results],
+        ],
     )
 
     if record:
@@ -348,7 +406,7 @@ def cmd_simulate(args, outdir: str) -> dict:
         _write_csv(
             os.path.join(outdir, "trajectory.csv"),
             ["cycle", "position_tau"],
-            zip(range(traj.size), traj),
+            [np.arange(traj.size), traj],
         )
 
     return {
@@ -357,7 +415,7 @@ def cmd_simulate(args, outdir: str) -> dict:
         "seed": seed,
         "trials": trials,
         "positions": positions,
-        "mean_cycles": [_number(r[1]) for r in rows],
+        "mean_cycles": [_number(m) for m in means],
     }
 
 
@@ -395,22 +453,25 @@ def cmd_eye(args, outdir: str) -> dict:
     bits = sim.generate_bits(source, bits_total, rng)
     wave = sim.propagate_rc(channel, bits)
     hist = sim.crossing_histogram(
-        wave, channel.samples_per_ui, warmup_ui=warmup_ui, bins=bins, cluster_gap_ui=gap
+        wave, channel.samples_per_ui, warmup_ui=warmup_ui, bins=bins, cluster_gap_ui=gap, bits=bits
     )
     overlay = sim.eye_traces(wave, channel.samples_per_ui, skip_ui=warmup_ui, n_segments=segments)
 
     spu = channel.samples_per_ui
-    t_ui = np.arange(spu) / spu
-    eye_rows = (
-        (seg, t_ui[j], overlay[seg, j])
-        for seg in range(overlay.shape[0])
-        for j in range(spu)
+    n_segments = overlay.shape[0]
+    _write_csv(
+        os.path.join(outdir, "eye.csv"),
+        ["segment", "time_ui", "value"],
+        [
+            np.repeat(np.arange(n_segments), spu),
+            _cells(np.arange(spu) / spu) * n_segments,
+            overlay.ravel(),
+        ],
     )
-    _write_csv(os.path.join(outdir, "eye.csv"), ["segment", "time_ui", "value"], eye_rows)
     _write_csv(
         os.path.join(outdir, "crossings.csv"),
         ["bin_center", "count"],
-        zip(hist.bin_centers, hist.counts),
+        [hist.bin_centers, hist.counts],
     )
     return {
         "command": "eye",
@@ -491,15 +552,15 @@ def cmd_compare(args, outdir: str) -> dict:
     else:
         raise ConfigError(f"unknown technique {technique!r}")
 
-    rows = zip(
+    columns = [
         report.positions,
         report.baseline_mean,
         report.treated_mean,
         report.reduction_mean,
         report.baseline_std,
         report.treated_std,
-    )
-    _write_csv(os.path.join(outdir, "reduction.csv"), header, rows)
+    ]
+    _write_csv(os.path.join(outdir, "reduction.csv"), header, columns)
     return summary
 
 
@@ -512,17 +573,16 @@ def cmd_sweep(args, outdir: str) -> dict:
     windows = [jitter.WindowSpec(w) for w in widths]
     chains = [jitter.build_isi1_chain(window) for window in windows]
 
-    rows = []
+    ns = []
     for window, chain in zip(windows, chains):
         p0 = jitter.start_distribution(chain, window.initial)
-        n = markov.transitions_for_confidence(chain, p0, confidence, max_n=max_transitions)
-        rows.append((window.width_steps, n))
-    _write_csv(os.path.join(outdir, "sweep.csv"), ["window_steps", "n_at_confidence"], rows)
+        ns.append(markov.transitions_for_confidence(chain, p0, confidence, max_n=max_transitions))
+    _write_csv(os.path.join(outdir, "sweep.csv"), ["window_steps", "n_at_confidence"], [widths, ns])
     return {
         "command": "sweep",
         "confidence": confidence,
-        "widths_steps": [r[0] for r in rows],
-        "n_at_confidence": [r[1] for r in rows],
+        "widths_steps": widths,
+        "n_at_confidence": ns,
     }
 
 

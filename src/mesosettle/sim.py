@@ -958,34 +958,102 @@ def crossing_histogram(
     warmup_ui: int = 30,
     bins: int = 100,
     cluster_gap_ui: float = 0.02,
+    bits: np.ndarray | None = None,
 ) -> EyeHistogram:
     """Fold threshold crossings mod 1 UI and group them into clusters.
 
     Clusters split at gaps wider than cluster_gap_ui after rotating the
     largest circular gap onto the fold seam.  window_ui is the full
     span of the rotated crossing band.
+
+    bits, one per UI, are the input that drove the waveform.  With them,
+    each crossing is labelled by the transition it answers: the rotated
+    band cuts time into slots of one UI, and the crossing in slot s
+    answers the transition into bit s - lag, for the smallest lag >= 0
+    that lines every crossing up with its own transition.  Its label is
+    the two bits before the transition, each XORed with the new bit: the
+    four ISI-2 classes of jitter.ISI2_EMISSION.  A gap then splits
+    clusters only if it is wider than cluster_gap_ui and no class has
+    crossings on both sides of it, so cluster_gap_ui separates the
+    classes' bands rather than crossings within one class.  Without bits,
+    when no lag fits, or for a crossing with fewer than three bits before
+    its transition, a crossing is its own class: every gap wider than
+    cluster_gap_ui splits.
     """
     s = np.asarray(waveform, dtype=float) - threshold
+    if bits is not None and len(bits) * samples_per_ui != s.size:
+        raise ValueError(
+            f"{len(bits)} bits do not drive {s.size} samples at {samples_per_ui} per UI"
+        )
     flips = np.nonzero(np.signbit(s[:-1]) != np.signbit(s[1:]))[0]
     t = (flips + s[flips] / (s[flips] - s[flips + 1])) / samples_per_ui
-    return _fold_crossings(t, warmup_ui=warmup_ui, bins=bins, cluster_gap_ui=cluster_gap_ui)
+    return _fold_crossings(
+        t, warmup_ui=warmup_ui, bins=bins, cluster_gap_ui=cluster_gap_ui, bits=bits
+    )
+
+
+def _isi2_classes(slots: np.ndarray, bits) -> np.ndarray:
+    """ISI-2 class 0-3 of the transition each crossing answers, or -1.
+
+    slots[i] is the UI slot of crossing i.  The lag is the smallest one
+    that sends every crossing to a distinct bit that differs from the bit
+    before it; with none, every class is -1.
+    """
+    classes = np.full(slots.size, -1)
+    b = np.asarray(bits, dtype=bool)
+    is_t = np.r_[False, b[1:] != b[:-1]]
+    if np.unique(slots).size != slots.size:
+        return classes
+    # each lag sends the earliest slot to a transition at or before it
+    lo = int(slots.min())
+    for lag in (lo - np.flatnonzero(is_t[: lo + 1])[::-1]).tolist():
+        m = slots - lag
+        if m.max() < b.size and is_t[m].all():
+            break
+    else:
+        return classes
+    known = m >= 3
+    m = m[known]
+    classes[known] = 2 * (b[m - 2] ^ b[m]) + (b[m - 3] ^ b[m])
+    return classes
 
 
 def _fold_crossings(
-    t: np.ndarray, *, warmup_ui: int = 30, bins: int = 100, cluster_gap_ui: float = 0.02
+    t: np.ndarray,
+    *,
+    warmup_ui: int = 30,
+    bins: int = 100,
+    cluster_gap_ui: float = 0.02,
+    bits: np.ndarray | None = None,
 ) -> EyeHistogram:
     """crossing_histogram's folding and clustering of crossing times in UI."""
     t = t[t >= warmup_ui]
     if t.size == 0:
         raise ValueError("waveform contains no threshold crossings after warmup")
-    folded = np.sort(t % 1.0)
+    phase = t % 1.0
+    order = np.argsort(phase, kind="stable")
+    folded = phase[order]
 
     gaps = np.diff(folded, append=folded[0] + 1.0)
     seam = int(np.argmax(gaps))
     rotated = np.r_[folded[seam + 1 :], folded[: seam + 1] + 1.0]
     rotated -= np.floor(rotated[0])
 
-    splits = np.nonzero(np.diff(rotated) > cluster_gap_ui)[0] + 1
+    split = np.diff(rotated) > cluster_gap_ui
+    if bits is not None:
+        # a crossing's time less its place in the rotated band is its slot
+        slots = np.rint(t[np.roll(order, -(seam + 1))] - rotated).astype(np.int64)
+        classes = _isi2_classes(slots, bits)
+        # +1 where a class's first crossing lies, -1 at its last: the running
+        # sum counts the classes that have crossings on both sides of a gap
+        ends = np.zeros(rotated.size, dtype=np.int64)
+        for c in range(4):
+            members = np.flatnonzero(classes == c)
+            if members.size:
+                ends[members[0]] += 1
+                ends[members[-1]] -= 1
+        split &= np.cumsum(ends)[:-1] == 0
+    splits = np.nonzero(split)[0] + 1
     groups = np.split(rotated, splits)
     centers = np.array([grp.mean() % 1.0 for grp in groups])
     weights = np.array([grp.size for grp in groups], dtype=np.int64)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import pytest
 import yaml
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mesosettle import cli
 from mesosettle.cli import main
 
 try:
@@ -281,6 +284,156 @@ def test_compare_training_without_escapes_warns_nothing(tmp_path, capsys):
     assert s["treated_mean"] is None
     header, rows = data_rows(out / "reduction.csv")
     assert dict(zip(header, rows[0]))["treated_std"] == ""
+
+
+# ---------------------------------------------------------------- writer
+
+
+def _fmt(v) -> str:
+    """The per-cell formatter that the column-wise writer replaced."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    text = "%.12g" % float(v)
+    return "" if text == "nan" else text
+
+
+def row_writer_text(header, columns) -> str:
+    """The bytes the per-cell row writer gave for the same columns."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 1e16, 0.1 + 0.2]
+WIDE_INTS = [2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63), 2**64 + 5, -(2**70), 0]
+
+WRITER_COLUMNS = {
+    "float-array": [np.array(SPECIAL_FLOATS)],
+    "float-list": [SPECIAL_FLOATS, np.float32(SPECIAL_FLOATS).tolist()],
+    "python-ints": [WIDE_INTS],
+    "numpy-ints": [
+        np.array(WIDE_INTS[:4] + [0, 1, -1], dtype=np.int64),
+        np.array([2**64 - 1, 2**63, 2**53 + 1, 0, 1, 2, 3], dtype=np.uint64),
+        [np.int64(2**62 + 1), np.int32(-5), np.uint8(255), np.int16(7), 0, 1, 2**40],
+    ],
+    "bools": [
+        np.array([True, False] * 3 + [True]),
+        [True, False, np.True_, np.False_, True, np.bool_(False), False],
+    ],
+    "none": [[None] * 7, [None, 1.5, None, float("nan"), np.float32(0.25), None, 2**70]],
+    "mixed": [SPECIAL_FLOATS, WIDE_INTS, [True] * 7, [None] * 7],
+}
+
+
+@pytest.mark.parametrize("name", WRITER_COLUMNS)
+def test_csv_writer_keeps_the_cell_rules(tmp_path, name):
+    columns = WRITER_COLUMNS[name]
+    header = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path / "out.csv"
+    cli._write_csv(str(path), header, columns)
+    assert path.read_text() == row_writer_text(header, columns)
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_csv_writer_chunk_edges(tmp_path, offset):
+    """Zero rows (header only), and one chunk of rows minus one, exactly and plus one."""
+    n = 0 if offset is None else cli._CSV_CHUNK_ROWS + offset
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    values[::97] = np.nan
+    columns = [np.arange(n), values, values > 0, values.tolist()]
+    header = ["n", "value", "positive", "again"]
+    path = tmp_path / "out.csv"
+    cli._write_csv(str(path), header, columns)
+    assert path.read_text() == row_writer_text(header, columns)
+
+
+def test_csv_writer_rejects_unequal_columns(tmp_path):
+    # zip stopped at the shortest column and dropped the rest without a word
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="lengths"):
+        cli._write_csv(str(path), ["a", "b"], [[1, 2, 3], [1.0, 2.0]])
+    with pytest.raises(ValueError, match="header"):
+        cli._write_csv(str(path), ["a"], [[1, 2], [1, 2]])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_writer_failure_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "out.csv"
+    cli._write_csv(str(path), ["a"], [[1, 2]])
+    before = path.read_bytes()
+    # the first chunk formats; the second holds a complex number, which no rule takes
+    bad = [0.5] * cli._CSV_CHUNK_ROWS + [1j]
+    with pytest.raises(TypeError):
+        cli._write_csv(str(path), ["a"], [bad])
+    with pytest.raises(TypeError):
+        cli._write_csv(str(path), ["a"], [[1.0, object()]])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+# ---------------------------------------------------------- pinned bytes
+
+CLI_OUTPUT_TABLE = Path(__file__).with_name("cli_output_reference.json")
+
+
+def cli_output_cases() -> dict:
+    """(command, config, seed or None) per case: analyze for each model,
+    sweep, simulate with a trajectory, with one escape (empty std and
+    stderr cells) and with none (empty statistics), each compare technique,
+    and eye on the three presets at a seed where the heavy band does not
+    split."""
+    training = {"technique": "training", "width_steps": 20, "trials": 60}
+    return {
+        "analyze-isi1": ("analyze", {"model": "isi1", "width_steps": 40}, None),
+        "analyze-isi2": ("analyze", {"model": "isi2", "sub_windows_steps": [3, 5, 2]}, None),
+        "analyze-gaussian": ("analyze", {"model": "gaussian", "sigma_steps": 2}, None),
+        "analyze-combined": (
+            "analyze", {"model": "combined", "sigma_steps": 1, "w_ab_steps": 10}, None
+        ),
+        "analyze-biased": (
+            "analyze", {"model": "biased", "width_steps": 20, "mismatch_percent": 10}, None
+        ),
+        "sweep": ("sweep", {"widths_steps": [2, 5, 40, 100]}, None),
+        "simulate-trajectory": ("simulate", simulate_cfg(jitter_sigma_steps=0.75), 4),
+        "simulate-one-escape": (
+            "simulate",
+            simulate_cfg(trials=5, max_cycles=20, positions_steps=[6], record_trajectory=False),
+            2,
+        ),
+        "simulate-no-escape": (
+            "simulate", simulate_cfg(max_cycles=3, positions_steps=[6]), 2
+        ),
+        "compare-mismatch": (
+            "compare", {"technique": "mismatch", "width_steps": 40, "mismatch_percent": 10}, None
+        ),
+        "compare-training": ("compare", training, 3),
+        "compare-coarse": ("compare", {"technique": "coarse", "width_steps": 5}, None),
+        **{f"eye-{ch}": ("eye", {"channel": ch}, 7) for ch in ("benign", "moderate", "heavy")},
+    }
+
+
+def cli_output_digests(workdir: Path) -> dict:
+    """SHA-256 of every CSV and summary.json each case writes."""
+    out = {}
+    for name, (command, cfg, seed) in cli_output_cases().items():
+        argv = [] if seed is None else ["--seed", str(seed)]
+        rc, outdir = invoke(workdir, command, {"schema_version": 1, **cfg}, *argv, tag=name)
+        assert rc == 0, name
+        for path in sorted(outdir.iterdir()):
+            out[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def test_cli_outputs_match_reference(tmp_path):
+    """Every command writes the bytes recorded before the column-wise writer."""
+    expected = json.loads(CLI_OUTPUT_TABLE.read_text())
+    assert cli_output_digests(tmp_path) == expected
 
 
 # ---------------------------------------------------------------- errors

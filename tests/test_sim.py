@@ -16,6 +16,7 @@ from mesosettle import sim
 
 from mesosettle.jitter import (
     ISI1_TABLE,
+    ISI2_EMISSION,
     ISI2_TAGS,
     CombinedJitterSpec,
     GaussianJitterSpec,
@@ -268,6 +269,92 @@ def test_reference_channel_morphology():
         hist = crossing_histogram(propagate_rc(chan, bits), chan.samples_per_ui)
         assert hist.n_clusters == expected[name], name
         assert hist.counts.sum() == hist.crossings_ui.size
+
+
+def eye_bench_bits(seed, pass_index):
+    """The 400 bits of a benchmark pass's eye-heavy job (job index 2), whose
+    seed SeedSequence([seed, pass, job]) draws as the benchmark draws it."""
+    state = np.random.SeedSequence([seed, pass_index, 2]).generate_state(1, np.uint64)
+    return generate_bits(BitSource.bernoulli(0.5), 400, np.random.default_rng(int(state[0])))
+
+
+@pytest.mark.parametrize("seed,pass_index", [(4, 7), (201, 26), (1234, 65)])
+def test_heavy_eye_classes_merge_a_split_band(seed, pass_index):
+    # on these inputs one class's band has a gap just over cluster_gap_ui
+    chan = REFERENCE_CHANNELS["heavy"]
+    bits = eye_bench_bits(seed, pass_index)
+    wave = propagate_rc(chan, bits)
+    assert crossing_histogram(wave, chan.samples_per_ui).n_clusters == 5
+    hist = crossing_histogram(wave, chan.samples_per_ui, bits=bits)
+    assert hist.n_clusters == 4
+    assert 0.25 <= hist.window_ui <= 0.35
+
+
+def assert_same_histogram(a, b):
+    for name in ("crossings_ui", "bin_centers", "counts", "cluster_centers",
+                 "cluster_weights", "sub_gaps_ui"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.window_ui, a.band_start_ui) == (b.window_ui, b.band_start_ui)
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CHANNELS))
+def test_eye_classes_keep_unsplit_results(name):
+    """Labels only ever merge clusters, so where the plain rule already gives
+    the preset's count the labelled result is the same to the bit; the plain
+    rule splits none of these inputs."""
+    chan = REFERENCE_CHANNELS[name]
+    expected = {"benign": 1, "moderate": 2, "heavy": 4}[name]
+    for k in range(200):
+        bits = generate_bits(BitSource.bernoulli(0.5), 400, np.random.default_rng([31, k]))
+        wave = propagate_rc(chan, bits)
+        labelled = crossing_histogram(wave, chan.samples_per_ui, bits=bits)
+        assert labelled.n_clusters == expected, k
+        assert_same_histogram(labelled, crossing_histogram(wave, chan.samples_per_ui))
+
+
+def test_isi2_classes_follow_the_emission_table():
+    bits = np.random.default_rng(3).integers(0, 2, 300).astype(np.int8)
+    moves = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    want = np.full(moves.size, -1)
+    for i, m in enumerate(moves):
+        if m >= 3:
+            history = 4 * bits[m - 3] + 2 * bits[m - 2] + bits[m - 1]
+            want[i] = "ABCD".index(ISI2_EMISSION[(history, bits[m])])
+    order = np.random.default_rng(4).permutation(moves.size)
+    for lag in (0, 2):
+        assert np.array_equal(sim._isi2_classes(moves[order] + lag, bits), want[order])
+    # a crossing in a slot with no transition at any lag, or two crossings
+    # sent to one transition, leave every crossing unlabelled
+    for slots in (np.r_[moves, bits.size + 5], np.r_[moves, moves[-1]]):
+        assert (sim._isi2_classes(slots, bits) == -1).all()
+
+
+def test_eye_labels_on_test_ladders():
+    # the 4-section ladder labels every crossing and keeps its clusters; on
+    # the slow 8-section ladder the band fills the UI, two crossings can
+    # share a slot and no lag fits, so the plain rule holds
+    for chan, labelled in (
+        (ChannelModel.rc(r=1.0, c=0.02, samples_per_ui=256, sections=4), True),
+        (ChannelModel.rc(r=1.0, c=0.1, samples_per_ui=64, sections=8), False),
+    ):
+        bits = np.random.default_rng(0).integers(0, 2, 400)
+        t = sim._RcLine(chan).crossings(bits)
+        hist = sim._fold_crossings(t)
+        rotated = hist.band_start_ui + (t[t >= 30] - hist.band_start_ui) % 1.0
+        slots = np.rint(t[t >= 30] - rotated).astype(int)
+        assert ((sim._isi2_classes(slots, bits) >= 0).all()) == labelled
+        wave = propagate_rc(chan, bits)
+        assert_same_histogram(
+            crossing_histogram(wave, chan.samples_per_ui, bits=bits),
+            crossing_histogram(wave, chan.samples_per_ui),
+        )
+
+
+def test_eye_bits_must_match_the_waveform():
+    chan = REFERENCE_CHANNELS["benign"]
+    bits = np.random.default_rng(1).integers(0, 2, 60)
+    with pytest.raises(ValueError, match="do not drive"):
+        crossing_histogram(propagate_rc(chan, bits), chan.samples_per_ui, bits=bits[:-1])
 
 
 def test_eye_traces_shape():
