@@ -279,9 +279,7 @@ def _chain_from(cfg: dict) -> tuple[markov.AbsorbingChain, object, dict]:
     elif model == "biased":
         window = _window_from(cfg)
         desc["mismatch_percent"] = cfg.get("mismatch_percent")  # the summary keeps it as written
-        chain = jitter.build_biased_chain(
-            jitter.build_isi1_chain(window), _float(cfg, "mismatch_percent")
-        )
+        chain = jitter.build_biased_chain(window, _float(cfg, "mismatch_percent"))
         init = window.initial  # aligned on the tau grid
         desc["width_steps"] = window.width_steps
     else:

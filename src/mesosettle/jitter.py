@@ -5,6 +5,13 @@ absorbing edge.  A single phase-detector rule is used throughout: a
 crossing observed at time c with the clock at position p shifts the
 clock right (+1 step) when c < p, left when c > p, and resolves c == p
 with a fair coin.
+
+Every model but ISI-2 is one birth-death walk, a mixture of crossings:
+with crossing i at c_i carrying mass p_i per cycle and clock jitter
+sigma, a clock at t moves right with probability
+sum_i p_i Phi((t - c_i) / sigma), the mass of crossings left of it (a
+step with the fair tie coin when sigma = 0), moves left with the rest
+of sum_i p_i, and stays put with the no-crossing mass.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 from scipy.sparse import coo_array
-from scipy.special import erf, ndtr
+from scipy.special import ndtr
 
 from .markov import AbsorbingChain, absorption_stats
 
@@ -162,17 +169,35 @@ def isi2_trace(sub_ab: int, sub_bc: int, sub_cd: int) -> IsiTraceModel:
     )
 
 
-def _birth_death_chain(left, stay, right, labels) -> AbsorbingChain:
-    """Walk on 0..n-1 with both ends absorbing, built from its diagonals.
+def _crossing_walk(lo, hi, crossings, sigma, stay, substeps=None) -> AbsorbingChain:
+    """The module's crossing-mixture walk over clock positions lo..hi.
 
-    Interior state i moves to i - 1, i, i + 1 with probabilities
-    left[i - 1], stay[i - 1], right[i - 1].
+    crossings is a sequence of (position c, mass p), sigma the jitter (0
+    for the step kernel) and ``stay`` the no-crossing mass; both ends
+    absorb.  With substeps (s_L, s_R) positions lie on a grid of 1/s_R, a
+    right move advances s_R cells and a left move s_L, and a move that
+    overshoots an edge absorbs there.
     """
-    n = len(stay) + 2
-    i = np.arange(1, n - 1)
-    rows, cols = np.r_[0, n - 1, i, i, i], np.r_[0, n - 1, i - 1, i, i + 1]
-    p = coo_array((np.r_[1.0, 1.0, left, stay, right], (rows, cols)), shape=(n, n))
-    return AbsorbingChain(p, frozenset({0, n - 1}), labels=labels)
+    if hi - lo < 2:
+        raise ValueError("window narrower than 2 steps has no transient state")
+    s_l, s_r = substeps or (1, 1)
+    g = (hi - lo) * s_r
+    i = np.arange(1, g)
+    t = lo + i / s_r
+    if sigma > 0:
+        right = sum(p * ndtr((t - c) / sigma) for c, p in crossings)
+    else:
+        right = sum(p * np.heaviside(t - c, 0.5) for c, p in crossings)
+    left = sum(p for _, p in crossings) - right
+    rows = np.r_[0, g, i, i, i]
+    cols = np.r_[0, g, np.maximum(i - s_l, 0), i, np.minimum(i + s_r, g)]
+    vals = np.r_[1.0, 1.0, left, np.full(g - 1, stay), right]
+    p = coo_array((vals, (rows, cols)), shape=(g + 1, g + 1))
+    if substeps is None:
+        labels = tuple(range(lo, hi + 1))
+    else:
+        labels = tuple(Fraction(lo * s_r + k, s_r) for k in range(g + 1))  # in tau units
+    return AbsorbingChain(p, frozenset({0, g}), labels=labels)
 
 
 def build_isi1_chain(window: WindowSpec) -> AbsorbingChain:
@@ -183,10 +208,7 @@ def build_isi1_chain(window: WindowSpec) -> AbsorbingChain:
     (n_L - n_R) tau >= T_W - gamma.
     """
     w = window.width_steps
-    if w < 2:
-        raise ValueError("window narrower than 2 steps has no transient state")
-    quarter = np.full(w - 1, 0.25)
-    return _birth_death_chain(quarter, np.full(w - 1, 0.5), quarter, tuple(range(w + 1)))
+    return _crossing_walk(0, w, ((0, 0.25), (w, 0.25)), 0.0, 0.5)
 
 
 def build_isi2_chain(sub_ab: int, sub_bc: int, sub_cd: int) -> AbsorbingChain:
@@ -240,9 +262,11 @@ def build_isi2_chain(sub_ab: int, sub_bc: int, sub_cd: int) -> AbsorbingChain:
 def wrong_update_probability(m: float, spec: "GaussianJitterSpec") -> float:
     """P(update : wrong) = 1/2 - 1/2 erf(2 m tau / (sqrt(2) sigma_ck)).
 
-    Odd-symmetric in m, so f(m) + f(-m) = 1 and f(0) = 1/2 exactly.
+    The paper's form equals Phi(-2 m / sigma), which is how it is computed:
+    Phi keeps the far tail that 1/2 - 1/2 erf cancels to 0.  Odd-symmetric
+    in m, so f(m) + f(-m) = 1 and f(0) = 1/2 exactly.
     """
-    return float(0.5 - 0.5 * erf(2.0 * m / (np.sqrt(2.0) * spec.sigma_steps)))
+    return float(ndtr(-2.0 * m / spec.sigma_steps))
 
 
 @dataclass(frozen=True)
@@ -254,10 +278,10 @@ class GaussianJitterSpec:
     transition_probability: float = 0.5
 
     def __post_init__(self):
-        if self.sigma_steps <= 0:
-            raise ValueError("sigma_steps must be positive")
-        if self.truncation_sigmas < 1:
-            raise ValueError("truncation must be at least 1 sigma")
+        if not 0 < self.sigma_steps < np.inf:
+            raise ValueError("sigma_steps must be positive and finite")
+        if not 1 <= self.truncation_sigmas < np.inf:
+            raise ValueError("truncation_sigmas must be finite and at least 1 sigma")
         if not 0 < self.transition_probability <= 1:
             raise ValueError("transition probability must lie in (0, 1]")
 
@@ -271,19 +295,11 @@ def build_gaussian_chain(spec: GaussianJitterSpec) -> AbsorbingChain:
 
     Per cycle a transition occurs with the configured probability; the
     update then moves toward the center with wrong_update_probability(|m|)
-    and outward otherwise.  Boundary offsets are absorbing.
+    and outward otherwise: one crossing at the center seen with jitter
+    sigma / 2.  Boundary offsets are absorbing.
     """
-    m_max = spec.half_width_steps
-    n = 2 * m_max + 1
-    if n < 3:
-        raise ValueError("sigma too small: window has fewer than 3 positions")
-    tp = spec.transition_probability
-    m = np.arange(1, n - 1) - m_max
-    wrong = np.array([wrong_update_probability(abs(k), spec) for k in m])
-    toward, away = tp * wrong, tp * (1.0 - wrong)  # both tp / 2 at the center
-    left, right = np.where(m > 0, toward, away), np.where(m > 0, away, toward)
-    stay = np.full(n - 2, 1.0 - tp)
-    return _birth_death_chain(left, stay, right, tuple(range(-m_max, m_max + 1)))
+    m_max, tp = spec.half_width_steps, spec.transition_probability
+    return _crossing_walk(-m_max, m_max, ((0, tp),), spec.sigma_steps / 2, 1.0 - tp)
 
 
 @dataclass(frozen=True)
@@ -295,9 +311,11 @@ class CombinedJitterSpec:
     trace_probabilities: tuple[float, float, float] = (0.25, 0.25, 0.5)
 
     def __post_init__(self):
-        if self.sigma_steps <= 0 or self.w_ab_steps < 1:
-            raise ValueError("sigma must be positive and W_A-B at least 1 step")
-        if abs(sum(self.trace_probabilities) - 1.0) > 1e-12:
+        if not 0 < self.sigma_steps < np.inf:
+            raise ValueError("sigma_steps must be positive and finite")
+        if self.w_ab_steps < 1:
+            raise ValueError("w_ab_steps must be at least 1 step")
+        if not abs(sum(self.trace_probabilities) - 1.0) <= 1e-12:
             raise ValueError("P(A) + P(B) + P(NT) must equal 1")
 
     @property
@@ -308,27 +326,12 @@ class CombinedJitterSpec:
 def build_combined_chain(spec: CombinedJitterSpec) -> AbsorbingChain:
     """Positions spanning [-3 sigma, W_A-B + 3 sigma] in tau steps.
 
-    The mixture CDF P(A) Phi((t - 0)/sigma) + P(B) Phi((t - W_AB)/sigma)
-    is the probability that the cycle's crossing lands left of the clock;
-    by the phase-detector rule that mass moves the clock right, the
-    complement of the transition mass moves it left.  Outermost positions
-    are absorbing.
+    Crossings A at 0 and B at W_A-B with masses P(A) and P(B), seen with
+    jitter sigma; P(NT) stays.  Outermost positions are absorbing.
     """
     pa, pb, pnt = spec.trace_probabilities
-    collar = spec.collar_steps
-    t_lo, t_hi = -collar, spec.w_ab_steps + collar
-    n = t_hi - t_lo + 1
-    if n < 3:
-        raise ValueError("span narrower than 3 positions")
-    sig = spec.sigma_steps
-    t = np.arange(t_lo + 1, t_hi)
-    crossing_left = pa * ndtr(t / sig) + pb * ndtr((t - spec.w_ab_steps) / sig)
-    return _birth_death_chain(
-        (pa + pb) - crossing_left,
-        np.full(n - 2, pnt),
-        crossing_left,
-        tuple(range(t_lo, t_hi + 1)),
-    )
+    collar, w_ab = spec.collar_steps, spec.w_ab_steps
+    return _crossing_walk(-collar, w_ab + collar, ((0, pa), (w_ab, pb)), spec.sigma_steps, pnt)
 
 
 def mismatch_substeps(mismatch_percent) -> tuple[int, int]:
@@ -344,40 +347,17 @@ def mismatch_substeps(mismatch_percent) -> tuple[int, int]:
     return ratio.numerator, ratio.denominator
 
 
-def build_biased_chain(base: AbsorbingChain, mismatch_percent) -> AbsorbingChain:
-    """Refine the grid and enlarge the left step by the mismatch ratio.
+def build_biased_chain(window: WindowSpec, mismatch_percent) -> AbsorbingChain:
+    """The ISI-1 walk with the left step enlarged by the mismatch ratio.
 
-    A right move advances s_R sub-steps and a left move s_L sub-steps
-    with s_L/s_R = 1 + mismatch/100 (11 vs 10 for 10%).  The absorbing
-    edges are re-expressed on the sub-grid; moves that overshoot an edge
-    absorb there.
+    Positions lie on a grid of 1/s_R steps; a right move advances s_R
+    sub-steps and a left move s_L sub-steps with s_L/s_R = 1 +
+    mismatch/100 (11 vs 10 for 10%).  Moves that overshoot an edge absorb
+    there.  Labels are Fractions in tau units, also at 0% mismatch.
     """
-    s_l, s_r = mismatch_substeps(mismatch_percent)
-    w = base.n_states - 1
-    if w < 2 or base.absorbing != frozenset({0, w}):
-        raise ValueError("base must be a window chain absorbing at both edges")
-    t = base.transitions
-    c = t.tocoo()
-    # interior rows 1..w-1 of a tridiagonal base, read off its diagonals
-    left, stay = t.diagonal(-1)[: w - 1], t.diagonal()[1:w]
-    p_left, p_stay = left[0], stay[0]
-    if (
-        np.any(np.abs(left - p_left) > 1e-12)
-        or np.any(np.abs(stay - p_stay) > 1e-12)
-        or np.any(np.abs(c.row - c.col) > 1)
-    ):
-        raise ValueError("base must be a birth-death chain with uniform rows")
-    p_right = 1.0 - p_left - p_stay
-
-    g = w * s_r
-    n = g + 1
-    i = np.arange(1, g)
-    rows = np.r_[0, g, i, i, i]
-    cols = np.r_[0, g, np.minimum(i + s_r, g), np.maximum(i - s_l, 0), i]
-    vals = np.r_[1.0, 1.0, np.repeat([p_right, p_left, p_stay], g - 1)]
-    p = coo_array((vals, (rows, cols)), shape=(n, n))
-    labels = tuple(Fraction(i, s_r) for i in range(n))  # in tau units
-    return AbsorbingChain(p, frozenset({0, g}), labels=labels)
+    w = window.width_steps
+    substeps = mismatch_substeps(mismatch_percent)
+    return _crossing_walk(0, w, ((0, 0.25), (w, 0.25)), 0.0, 0.5, substeps)
 
 
 def _transient_positions(chain: AbsorbingChain) -> tuple[np.ndarray, np.ndarray]:

@@ -62,9 +62,9 @@ def compare_mismatch(width_steps: int, mismatch_percent) -> ReductionReport:
     The treated chain lives on the refined sub-grid; its rows at integer
     positions are read back so both columns share the tau axis.
     """
-    base = build_isi1_chain(WindowSpec(width_steps))
-    positions, baseline_mean, baseline_std = position_profile(base)
-    sub, treated_mean, treated_std = position_profile(build_biased_chain(base, mismatch_percent))
+    window = WindowSpec(width_steps)
+    positions, baseline_mean, baseline_std = position_profile(build_isi1_chain(window))
+    sub, treated_mean, treated_std = position_profile(build_biased_chain(window, mismatch_percent))
     on_grid = sub == np.round(sub)
     return ReductionReport(
         technique="mismatch",

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_array
+from scipy.special import erf, ndtr
 
 from mesosettle.jitter import (
     ISI1_TABLE,
@@ -13,6 +17,7 @@ from mesosettle.jitter import (
     CombinedJitterSpec,
     GaussianJitterSpec,
     WindowSpec,
+    _crossing_walk,
     build_biased_chain,
     build_combined_chain,
     build_gaussian_chain,
@@ -26,7 +31,7 @@ from mesosettle.jitter import (
     sub_windows_to_steps,
     wrong_update_probability,
 )
-from mesosettle.markov import absorption_stats
+from mesosettle.markov import AbsorbingChain, absorption_stats
 
 
 def test_one_bit_pattern_table():
@@ -153,7 +158,7 @@ def test_start_distribution_spreads_over_memory_states():
     assert [chain.labels[i] for i in hits] == [(43, tag) for tag in ISI2_TAGS]
     assert np.all(p0[hits] == 1 / 6)
 
-    biased = build_biased_chain(build_isi1_chain(WindowSpec(40)), 10)
+    biased = build_biased_chain(WindowSpec(40), 10)
     p0 = start_distribution(biased, 20)
     assert np.flatnonzero(p0).tolist() == [200]
     assert p0[200] == 1.0
@@ -168,7 +173,7 @@ def test_start_distribution_spreads_over_memory_states():
         (lambda: build_gaussian_chain(GaussianJitterSpec(sigma_steps=4)), -12),
         (lambda: build_isi1_chain(WindowSpec(40)), 41),
         (lambda: build_isi1_chain(WindowSpec(40)), 2.5),
-        (lambda: build_biased_chain(build_isi1_chain(WindowSpec(40)), 10), 20.05),
+        (lambda: build_biased_chain(WindowSpec(40), 10), 20.05),
     ],
     ids=["isi1-left-edge", "isi1-right-edge", "isi2-right-edge", "gaussian-left-edge",
          "isi1-beyond", "isi1-between-steps", "biased-between-substeps"],
@@ -207,6 +212,41 @@ def test_gaussian_spec_validation():
         GaussianJitterSpec(sigma_steps=1.0, truncation_sigmas=0.5)
     with pytest.raises(ValueError):
         GaussianJitterSpec(sigma_steps=1.0, transition_probability=0.0)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: GaussianJitterSpec(sigma_steps=np.inf), "sigma_steps"),
+        (lambda: GaussianJitterSpec(sigma_steps=np.nan), "sigma_steps"),
+        (lambda: GaussianJitterSpec(1.0, truncation_sigmas=np.nan), "truncation_sigmas"),
+        (lambda: GaussianJitterSpec(1.0, truncation_sigmas=np.inf), "truncation_sigmas"),
+        (lambda: CombinedJitterSpec(sigma_steps=np.nan, w_ab_steps=4), "sigma_steps"),
+        (lambda: CombinedJitterSpec(sigma_steps=np.inf, w_ab_steps=4), "sigma_steps"),
+        (lambda: CombinedJitterSpec(1.0, 0), "w_ab_steps"),
+        (lambda: CombinedJitterSpec(1.0, 4, (np.nan, 0.5, 0.5)), "P\\(A\\)"),
+    ],
+    ids=["gaussian-sigma-inf", "gaussian-sigma-nan", "gaussian-truncation-nan",
+         "gaussian-truncation-inf", "combined-sigma-nan", "combined-sigma-inf",
+         "combined-w-ab-0", "combined-mass-nan"],
+)
+def test_specs_reject_non_finite_values(make, field):
+    # NaN fails every comparison, so each check is written to fail on it
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+@pytest.mark.parametrize("sigma", [0.75, 2, 4, 20, 33.3])
+@pytest.mark.parametrize("truncation", [1, 3, 4.5])
+@pytest.mark.parametrize("tp", [0.3, 0.5, 1])
+def test_gaussian_chain_toward_center_is_wrong_update(sigma, truncation, tp):
+    # absolute bound: tp - tp Phi cancels in the far tail
+    spec = GaussianJitterSpec(sigma, truncation, tp)
+    chain = build_gaussian_chain(spec)
+    p = chain.transitions
+    for m in range(1, spec.half_width_steps):
+        i = chain.labels.index(m)
+        assert abs(p[i, i - 1] - tp * wrong_update_probability(m, spec)) <= 2.2e-16
 
 
 def test_gaussian_chain_structure():
@@ -274,14 +314,13 @@ def test_mismatch_substeps():
 
 def test_biased_chain_zero_mismatch_is_identity():
     base = build_isi1_chain(WindowSpec(9))
-    biased = build_biased_chain(base, 0)
+    biased = build_biased_chain(WindowSpec(9), 0)
     assert biased.n_states == base.n_states
     assert np.allclose(biased.transitions.toarray(), base.transitions.toarray(), atol=1e-15)
 
 
 def test_biased_chain_reference_statistics():
-    base = build_isi1_chain(WindowSpec(40))
-    biased = build_biased_chain(base, 10)
+    biased = build_biased_chain(WindowSpec(40), 10)
     assert biased.n_states == 401
     stats = absorption_stats(biased)
     # center of the coarse grid sits at sub-index 200
@@ -289,18 +328,11 @@ def test_biased_chain_reference_statistics():
     assert stats.std_at(200) == pytest.approx(461.56110196044716, rel=1e-9)
 
 
-def test_biased_chain_rejects_nonuniform_base():
-    from mesosettle.markov import AbsorbingChain
-
-    p = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.3, 0.4, 0.3, 0.0],
-        [0.0, 0.25, 0.5, 0.25],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-    lopsided = AbsorbingChain(p, frozenset({0, 3}))
-    with pytest.raises(ValueError):
-        build_biased_chain(lopsided, 10)
+def test_biased_chain_rejects_narrow_window_and_fine_mismatch():
+    with pytest.raises(ValueError, match="narrower than 2 steps"):
+        build_biased_chain(WindowSpec(1), 10)
+    with pytest.raises(ValueError, match="denominator 200"):
+        build_biased_chain(WindowSpec(40), 0.5)
 
 
 def test_sub_windows_to_steps():
@@ -317,3 +349,123 @@ def test_isi1_mean_profile_symmetric(width):
     chain = build_isi1_chain(WindowSpec(width))
     mean = absorption_stats(chain).mean
     assert np.allclose(mean, mean[::-1], rtol=1e-9)
+
+
+# The builders as they were before the one crossing-mixture walk, kept as
+# oracles: each model's matrix, absorbing set and labels must not move.
+def _oracle_birth_death_chain(left, stay, right, labels):
+    n = len(stay) + 2
+    i = np.arange(1, n - 1)
+    rows, cols = np.r_[0, n - 1, i, i, i], np.r_[0, n - 1, i - 1, i, i + 1]
+    p = coo_array((np.r_[1.0, 1.0, left, stay, right], (rows, cols)), shape=(n, n))
+    return AbsorbingChain(p, frozenset({0, n - 1}), labels=labels)
+
+
+def _oracle_isi1_chain(w):
+    quarter = np.full(w - 1, 0.25)
+    return _oracle_birth_death_chain(quarter, np.full(w - 1, 0.5), quarter, tuple(range(w + 1)))
+
+
+def _oracle_gaussian_chain(spec):
+    m_max = spec.half_width_steps
+    n = 2 * m_max + 1
+    tp = spec.transition_probability
+    m = np.arange(1, n - 1) - m_max
+    wrong = np.array(
+        [float(0.5 - 0.5 * erf(2.0 * abs(k) / (np.sqrt(2.0) * spec.sigma_steps))) for k in m]
+    )
+    toward, away = tp * wrong, tp * (1.0 - wrong)
+    left, right = np.where(m > 0, toward, away), np.where(m > 0, away, toward)
+    stay = np.full(n - 2, 1.0 - tp)
+    return _oracle_birth_death_chain(left, stay, right, tuple(range(-m_max, m_max + 1)))
+
+
+def _oracle_combined_chain(spec):
+    pa, pb, pnt = spec.trace_probabilities
+    t_lo, t_hi = -spec.collar_steps, spec.w_ab_steps + spec.collar_steps
+    sig = spec.sigma_steps
+    t = np.arange(t_lo + 1, t_hi)
+    crossing_left = pa * ndtr(t / sig) + pb * ndtr((t - spec.w_ab_steps) / sig)
+    return _oracle_birth_death_chain(
+        (pa + pb) - crossing_left,
+        np.full(t_hi - t_lo - 1, pnt),
+        crossing_left,
+        tuple(range(t_lo, t_hi + 1)),
+    )
+
+
+def _oracle_biased_chain(w, mismatch_percent):
+    base = _oracle_isi1_chain(w)
+    s_l, s_r = mismatch_substeps(mismatch_percent)
+    t = base.transitions
+    p_left, p_stay = t.diagonal(-1)[0], t.diagonal()[1]
+    p_right = 1.0 - p_left - p_stay
+    g = w * s_r
+    i = np.arange(1, g)
+    rows = np.r_[0, g, i, i, i]
+    cols = np.r_[0, g, np.minimum(i + s_r, g), np.maximum(i - s_l, 0), i]
+    vals = np.r_[1.0, 1.0, np.repeat([p_right, p_left, p_stay], g - 1)]
+    p = coo_array((vals, (rows, cols)), shape=(g + 1, g + 1))
+    return AbsorbingChain(p, frozenset({0, g}), labels=tuple(Fraction(k, s_r) for k in range(g + 1)))
+
+
+def _assert_same_chain(chain, oracle):
+    a, b = chain.transitions, oracle.transitions
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert chain.absorbing == oracle.absorbing
+    assert chain.labels == oracle.labels
+    assert [type(x) for x in chain.labels] == [type(x) for x in oracle.labels]
+
+
+WIDTHS = [2, 3, 5, 6, 9, 12, 20, 40, 200, 1000]
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_isi1_chain_matches_oracle(width):
+    _assert_same_chain(build_isi1_chain(WindowSpec(width)), _oracle_isi1_chain(width))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("mismatch", [0, 2.5, 10, 25])
+def test_biased_chain_matches_oracle(width, mismatch):
+    _assert_same_chain(
+        build_biased_chain(WindowSpec(width), mismatch), _oracle_biased_chain(width, mismatch)
+    )
+
+
+@pytest.mark.parametrize("masses", [(0.25, 0.25, 0.5), (0.3, 0.2, 0.5), (0.1, 0.3, 0.6)])
+@pytest.mark.parametrize("w_ab", [1, 8, 10, 12, 20, 40])
+@pytest.mark.parametrize("sigma", [1.2e-5, 0.5, 1, 2, 3, 5])
+def test_combined_chain_matches_oracle(sigma, w_ab, masses):
+    spec = CombinedJitterSpec(sigma, w_ab, masses)
+    _assert_same_chain(build_combined_chain(spec), _oracle_combined_chain(spec))
+
+
+@pytest.mark.parametrize("tp", [0.3, 0.5, 1])
+@pytest.mark.parametrize("truncation", [1, 3, 4.5])
+@pytest.mark.parametrize("sigma", [0.75, 2, 2.5, 3, 4, 5, 20, 33.3])
+def test_gaussian_chain_matches_erf_oracle(sigma, truncation, tp):
+    # Phi in place of 1/2 - 1/2 erf moves an entry by at most 2.22e-16, and
+    # keeps far-tail entries that erf cancels to exactly 0
+    spec = GaussianJitterSpec(sigma, truncation, tp)
+    chain, oracle = build_gaussian_chain(spec), _oracle_gaussian_chain(spec)
+    assert chain.absorbing == oracle.absorbing
+    assert chain.labels == oracle.labels
+    diff = np.abs(chain.transitions.toarray() - oracle.transitions.toarray())
+    assert diff.max() <= 2.3e-16
+
+
+@pytest.mark.parametrize("substeps", [None, (11, 10)])
+def test_crossing_walk_tie_is_a_fair_coin(substeps):
+    # sigma = 0: a crossing strictly inside the span splits its mass at t == c
+    chain = _crossing_walk(0, 6, ((3, 0.4),), 0.0, 0.6, substeps)
+    s_l, s_r = substeps or (1, 1)
+    i = chain.labels.index(3)
+    p = chain.transitions
+    assert p[i, i + s_r] == 0.2
+    assert p[i, i - s_l] == 0.2
+    assert p[i, i] == 0.6
+    # off the tie the whole mass moves toward the crossing
+    assert p[i - 1, i - 1 + s_r] == 0.0 and p[i - 1, i - 1 - s_l] == 0.4
+    assert p[i + 1, i + 1 + s_r] == 0.4 and p[i + 1, i + 1 - s_l] == 0.0

@@ -211,7 +211,7 @@ REFERENCE_CHAINS = {
     "isi2-23-43-20": (lambda: build_isi2_chain(23, 43, 20), 43),
     "gaussian-s20": (lambda: build_gaussian_chain(GaussianJitterSpec(sigma_steps=20)), 0),
     "combined-5-40": (lambda: build_combined_chain(CombinedJitterSpec(5, 40)), 20),
-    "biased-w40-10pct": (lambda: build_biased_chain(build_isi1_chain(WindowSpec(40)), 10), 20),
+    "biased-w40-10pct": (lambda: build_biased_chain(WindowSpec(40), 10), 20),
 }
 
 
@@ -368,8 +368,7 @@ def test_deep_budget_matches_lazy_walk_spectrum():
 
 def test_wide_mismatch_chain_stays_sparse():
     # 10 001 sub-grid states: a dense copy would take 0.8 GB
-    base = build_isi1_chain(WindowSpec(1000))
-    chain = build_biased_chain(base, 10)
+    chain = build_biased_chain(WindowSpec(1000), 10)
     assert chain.n_states == 1000 * mismatch_substeps(10)[1] + 1
     assert chain.transitions.nnz <= 4 * chain.n_states
     report = compare_mismatch(1000, 10)

@@ -34,9 +34,8 @@ def test_zero_mismatch_reduces_nothing():
 def test_mismatch_columns_read_the_aligned_states(width, mismatch):
     # oracle: state k of the base chain and state k * s_R of the sub-grid
     # chain both sit at clock position k
-    base = build_isi1_chain(WindowSpec(width))
-    st_b = absorption_stats(base)
-    st_t = absorption_stats(build_biased_chain(base, mismatch))
+    st_b = absorption_stats(build_isi1_chain(WindowSpec(width)))
+    st_t = absorption_stats(build_biased_chain(WindowSpec(width), mismatch))
     _, s_r = mismatch_substeps(mismatch)
     k = np.arange(1, width)
     rep = compare_mismatch(width, mismatch)
