@@ -6,12 +6,14 @@ crossing observed at time c with the clock at position p shifts the
 clock right (+1 step) when c < p, left when c > p, and resolves c == p
 with a fair coin.
 
-Every model but ISI-2 is one birth-death walk, a mixture of crossings:
-with crossing i at c_i carrying mass p_i per cycle and clock jitter
-sigma, a clock at t moves right with probability
-sum_i p_i Phi((t - c_i) / sigma), the mass of crossings left of it (a
-step with the fair tie coin when sigma = 0), moves left with the rest
-of sum_i p_i, and stays put with the no-crossing mass.
+Every model is one walk, a mixture of crossings: with crossing i at c_i
+carrying mass p_i per cycle and clock jitter sigma, a clock at t moves
+right with probability sum_i p_i Phi((t - c_i) / sigma), the mass of
+crossings left of it (a step with the fair tie coin when sigma = 0),
+moves left with the rest of sum_i p_i, and stays put with the
+no-crossing mass.  ISI-2 adds memory tags: each tag carries its own
+crossings, a crossing moves the walk to the tag of that event and a
+quiet cycle to the tag's quiet successor; the other models have one tag.
 """
 
 from __future__ import annotations
@@ -169,35 +171,54 @@ def isi2_trace(sub_ab: int, sub_bc: int, sub_cd: int) -> IsiTraceModel:
     )
 
 
-def _crossing_walk(lo, hi, crossings, sigma, stay, substeps=None) -> AbsorbingChain:
+def _crossing_walk(lo, hi, tags, sigma, substeps=None, names=None) -> AbsorbingChain:
     """The module's crossing-mixture walk over clock positions lo..hi.
 
-    crossings is a sequence of (position c, mass p), sigma the jitter (0
-    for the step kernel) and ``stay`` the no-crossing mass; both ends
-    absorb.  With substeps (s_L, s_R) positions lie on a grid of 1/s_R, a
-    right move advances s_R cells and a left move s_L, and a move that
-    overshoots an edge absorbs there.
+    Each memory tag is (crossings, stay, after, quiet): crossings a
+    sequence of (position c, mass p) whose moves lead to tag ``after``,
+    and the no-crossing mass ``stay`` leads to tag ``quiet``; a
+    birth-death chain is the one tag (crossings, stay, 0, 0).  sigma is
+    the jitter (0 for the step kernel) and both ends absorb.  States run
+    position-major: 0 is the left edge, the last the right edge, and
+    interior (k, tag) is (k - 1) * len(tags) + tag + 1.  With substeps
+    (s_L, s_R) positions lie on a grid of 1/s_R, a right move advances
+    s_R cells and a left move s_L, and a move that overshoots an edge
+    absorbs there.  With names, interior labels are (position, name).
     """
     if hi - lo < 2:
         raise ValueError("window narrower than 2 steps has no transient state")
     s_l, s_r = substeps or (1, 1)
-    g = (hi - lo) * s_r
+    g, m = (hi - lo) * s_r, len(tags)
+    n = (g - 1) * m + 2
     i = np.arange(1, g)
     t = lo + i / s_r
-    if sigma > 0:
-        right = sum(p * ndtr((t - c) / sigma) for c, p in crossings)
-    else:
-        right = sum(p * np.heaviside(t - c, 0.5) for c, p in crossings)
-    left = sum(p for _, p in crossings) - right
-    rows = np.r_[0, g, i, i, i]
-    cols = np.r_[0, g, np.maximum(i - s_l, 0), i, np.minimum(i + s_r, g)]
-    vals = np.r_[1.0, 1.0, left, np.full(g - 1, stay), right]
-    p = coo_array((vals, (rows, cols)), shape=(g + 1, g + 1))
+
+    def state(k, tag):
+        return np.where(k <= 0, 0, np.where(k >= g, n - 1, (k - 1) * m + tag + 1))
+
+    edges = np.array([0, n - 1])
+    triplets = [(edges, edges, np.ones(2))]  # (rows, cols, values)
+    for tag, (crossings, stay, after, quiet) in enumerate(tags):
+        if sigma > 0:
+            right = sum(p * ndtr((t - c) / sigma) for c, p in crossings)
+        else:
+            right = sum(p * np.heaviside(t - c, 0.5) for c, p in crossings)
+        left = sum(p for _, p in crossings) - right
+        triplets.append((
+            np.tile(state(i, tag), 3),
+            np.r_[state(i - s_l, after), state(i, quiet), state(i + s_r, after)],
+            np.r_[left, np.full(g - 1, stay), right],
+        ))
+    rows, cols, vals = map(np.concatenate, zip(*triplets))
+    p = coo_array((vals, (rows, cols)), shape=(n, n))
     if substeps is None:
-        labels = tuple(range(lo, hi + 1))
+        positions = tuple(range(lo, hi + 1))
     else:
-        labels = tuple(Fraction(lo * s_r + k, s_r) for k in range(g + 1))  # in tau units
-    return AbsorbingChain(p, frozenset({0, g}), labels=labels)
+        positions = tuple(Fraction(lo * s_r + k, s_r) for k in range(g + 1))  # in tau units
+    inner = positions[1:-1]
+    if names is not None:
+        inner = tuple((x, name) for x in inner for name in names)
+    return AbsorbingChain(p, frozenset({0, n - 1}), labels=(positions[0], *inner, positions[-1]))
 
 
 def build_isi1_chain(window: WindowSpec) -> AbsorbingChain:
@@ -208,55 +229,26 @@ def build_isi1_chain(window: WindowSpec) -> AbsorbingChain:
     (n_L - n_R) tau >= T_W - gamma.
     """
     w = window.width_steps
-    return _crossing_walk(0, w, ((0, 0.25), (w, 0.25)), 0.0, 0.5)
+    return _crossing_walk(0, w, [(((0, 0.25), (w, 0.25)), 0.5, 0, 0)], 0.0)
 
 
 def build_isi2_chain(sub_ab: int, sub_bc: int, sub_cd: int) -> AbsorbingChain:
     """Extended-state chain: (interior position) x (last-event memory).
 
-    Six memory states per clock position; every extended state has two
-    successor events of probability 1/2 from the source FSM.  A crossing
-    moves the clock one step by the phase-detector rule (fair coin when
-    the crossing sits exactly at the clock); positions at or beyond the
-    outer crossings A and D are absorbing.
+    Six memory tags per clock position, each the crossing walk with one
+    crossing of mass 1/2: with 1/2 the next cycle crosses at the tag's
+    successor event and moves to that tag, and with 1/2 it is quiet and
+    moves to the quiet successor.  Positions at or beyond the outer
+    crossings A and D are absorbing.
     """
     if min(sub_ab, sub_bc, sub_cd) < 1:
         raise ValueError("sub-window widths must be at least 1 step")
     trace = isi2_trace(sub_ab, sub_bc, sub_cd)
-    w = int(trace.width_steps)
-    n_tags = len(ISI2_TAGS)
-    n_t = (w - 1) * n_tags
-    left, right = n_t, n_t + 1
-    n = n_t + 2
-
-    def idx(pos: int, tag: str) -> int:
-        return (pos - 1) * n_tags + ISI2_TAGS.index(tag)
-
-    entries = [(left, left, 1.0), (right, right, 1.0)]  # (row, col, value)
-    for pos in range(1, w):
-        for tag in ISI2_TAGS:
-            i = idx(pos, tag)
-            for event in ISI2_SUCCESSORS[tag]:
-                pr = 0.5
-                if event.startswith("X"):
-                    entries.append((i, idx(pos, event), pr))
-                    continue
-                c = trace.crossing_of(event)
-                if c < pos:
-                    moves = ((pos + 1, pr),)
-                elif c > pos:
-                    moves = ((pos - 1, pr),)
-                else:
-                    moves = ((pos + 1, pr / 2), (pos - 1, pr / 2))
-                for npos, mp in moves:
-                    j = left if npos <= 0 else right if npos >= w else idx(npos, event)
-                    entries.append((i, j, mp))
-    labels = tuple(
-        (pos, tag) for pos in range(1, w) for tag in ISI2_TAGS
-    ) + (("absorbed", "left"), ("absorbed", "right"))
-    rows, cols, vals = zip(*entries)
-    p = coo_array((vals, (rows, cols)), shape=(n, n))
-    return AbsorbingChain(p, frozenset({left, right}), labels=labels)
+    tags = [
+        (((trace.crossing_of(event), 0.5),), 0.5, ISI2_TAGS.index(event), ISI2_TAGS.index(quiet))
+        for event, quiet in (ISI2_SUCCESSORS[tag] for tag in ISI2_TAGS)
+    ]
+    return _crossing_walk(0, int(trace.width_steps), tags, 0.0, names=ISI2_TAGS)
 
 
 def wrong_update_probability(m: float, spec: "GaussianJitterSpec") -> float:
@@ -299,7 +291,7 @@ def build_gaussian_chain(spec: GaussianJitterSpec) -> AbsorbingChain:
     sigma / 2.  Boundary offsets are absorbing.
     """
     m_max, tp = spec.half_width_steps, spec.transition_probability
-    return _crossing_walk(-m_max, m_max, ((0, tp),), spec.sigma_steps / 2, 1.0 - tp)
+    return _crossing_walk(-m_max, m_max, [(((0, tp),), 1.0 - tp, 0, 0)], spec.sigma_steps / 2)
 
 
 @dataclass(frozen=True)
@@ -331,7 +323,8 @@ def build_combined_chain(spec: CombinedJitterSpec) -> AbsorbingChain:
     """
     pa, pb, pnt = spec.trace_probabilities
     collar, w_ab = spec.collar_steps, spec.w_ab_steps
-    return _crossing_walk(-collar, w_ab + collar, ((0, pa), (w_ab, pb)), spec.sigma_steps, pnt)
+    tags = [(((0, pa), (w_ab, pb)), pnt, 0, 0)]
+    return _crossing_walk(-collar, w_ab + collar, tags, spec.sigma_steps)
 
 
 def mismatch_substeps(mismatch_percent) -> tuple[int, int]:
@@ -357,7 +350,7 @@ def build_biased_chain(window: WindowSpec, mismatch_percent) -> AbsorbingChain:
     """
     w = window.width_steps
     substeps = mismatch_substeps(mismatch_percent)
-    return _crossing_walk(0, w, ((0, 0.25), (w, 0.25)), 0.0, 0.5, substeps)
+    return _crossing_walk(0, w, [(((0, 0.25), (w, 0.25)), 0.5, 0, 0)], 0.0, substeps)
 
 
 def _transient_positions(chain: AbsorbingChain) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_array, csr_array, issparse
+from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
 __all__ = [
@@ -121,16 +122,10 @@ class AbsorbingChain:
 
 
 def _absorbing_reachable(p: csr_array, absorbing: frozenset[int]) -> bool:
-    # grow the set of states with a path to absorption by one sparse
-    # matvec over the support graph per step, until it stops growing
-    support = (p > 0.0).astype(float)
-    reached = np.zeros(p.shape[0], dtype=bool)
-    reached[list(absorbing)] = True
-    while True:
-        grown = reached | (support @ reached > 0.0)
-        if np.array_equal(grown, reached):
-            return bool(reached.all())
-        reached = grown
+    # one multi-source search from the absorbing states over the reversed
+    # support graph: a state is reached iff it has a path to absorption
+    hops = dijkstra((p > 0.0).T, indices=sorted(absorbing), unweighted=True, min_only=True)
+    return bool(np.isfinite(hops).all())
 
 
 @dataclass(frozen=True)

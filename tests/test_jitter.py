@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from mesosettle.jitter import (
     sub_windows_to_steps,
     wrong_update_probability,
 )
-from mesosettle.markov import AbsorbingChain, absorption_stats
+from mesosettle.markov import AbsorbingChain, absorption_stats, build_canonical
 
 
 def test_one_bit_pattern_table():
@@ -409,10 +410,53 @@ def _oracle_biased_chain(w, mismatch_percent):
     return AbsorbingChain(p, frozenset({0, g}), labels=tuple(Fraction(k, s_r) for k in range(g + 1)))
 
 
-def _assert_same_chain(chain, oracle):
-    a, b = chain.transitions, oracle.transitions
+def _oracle_isi2_chain(sub_ab, sub_bc, sub_cd):
+    # the per-state loop with its own tie branch; absorbing states last
+    trace = isi2_trace(sub_ab, sub_bc, sub_cd)
+    w = int(trace.width_steps)
+    n_tags = len(ISI2_TAGS)
+    n_t = (w - 1) * n_tags
+    left, right = n_t, n_t + 1
+    n = n_t + 2
+
+    def idx(pos, tag):
+        return (pos - 1) * n_tags + ISI2_TAGS.index(tag)
+
+    entries = [(left, left, 1.0), (right, right, 1.0)]
+    for pos in range(1, w):
+        for tag in ISI2_TAGS:
+            i = idx(pos, tag)
+            for event in ISI2_SUCCESSORS[tag]:
+                pr = 0.5
+                if event.startswith("X"):
+                    entries.append((i, idx(pos, event), pr))
+                    continue
+                c = trace.crossing_of(event)
+                if c < pos:
+                    moves = ((pos + 1, pr),)
+                elif c > pos:
+                    moves = ((pos - 1, pr),)
+                else:
+                    moves = ((pos + 1, pr / 2), (pos - 1, pr / 2))
+                for npos, mp in moves:
+                    j = left if npos <= 0 else right if npos >= w else idx(npos, event)
+                    entries.append((i, j, mp))
+    labels = tuple(
+        (pos, tag) for pos in range(1, w) for tag in ISI2_TAGS
+    ) + (("absorbed", "left"), ("absorbed", "right"))
+    rows, cols, vals = zip(*entries)
+    p = coo_array((vals, (rows, cols)), shape=(n, n))
+    return AbsorbingChain(p, frozenset({left, right}), labels=labels)
+
+
+def _assert_same_csr(a, b):
+    assert a.shape == b.shape
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _assert_same_chain(chain, oracle):
+    _assert_same_csr(chain.transitions, oracle.transitions)
     assert chain.absorbing == oracle.absorbing
     assert chain.labels == oracle.labels
     assert [type(x) for x in chain.labels] == [type(x) for x in oracle.labels]
@@ -456,10 +500,42 @@ def test_gaussian_chain_matches_erf_oracle(sigma, truncation, tp):
     assert diff.max() <= 2.3e-16
 
 
+ISI2_TRIPLES = [
+    *itertools.product(range(1, 7), repeat=3), (23, 43, 20), (5, 9, 4), (3, 5, 2), (100, 200, 100)
+]
+
+
+@pytest.mark.parametrize("subs", ISI2_TRIPLES, ids=lambda subs: "-".join(map(str, subs)))
+def test_isi2_chain_matches_oracle(subs):
+    # the edges moved from the last two indices to the first and last, so
+    # compare the canonical blocks, which keep transient and absorbing order
+    chain, oracle = build_isi2_chain(*subs), _oracle_isi2_chain(*subs)
+    got, want = build_canonical(chain), build_canonical(oracle)
+    _assert_same_csr(got.q, want.q)
+    _assert_same_csr(got.r, want.r)
+    assert [chain.labels[i] for i in got.transient_order] == [
+        oracle.labels[i] for i in want.transient_order
+    ]
+    assert chain.n_states == oracle.n_states
+
+
+def test_isi2_tags_lump_to_four_classes():
+    # A and B share the successors (crossing B, X1), and C and D share
+    # (crossing A, X1): each pair predicts the same future at every position
+    chain = build_isi2_chain(23, 43, 20)
+    stats = absorption_stats(chain)
+
+    def means(tag):
+        return np.array([stats.mean_at(chain.labels.index((k, tag))) for k in range(1, 86)])
+
+    np.testing.assert_allclose(means("A"), means("B"), rtol=1e-12)
+    np.testing.assert_allclose(means("C"), means("D"), rtol=1e-12)
+
+
 @pytest.mark.parametrize("substeps", [None, (11, 10)])
 def test_crossing_walk_tie_is_a_fair_coin(substeps):
     # sigma = 0: a crossing strictly inside the span splits its mass at t == c
-    chain = _crossing_walk(0, 6, ((3, 0.4),), 0.0, 0.6, substeps)
+    chain = _crossing_walk(0, 6, [(((3, 0.4),), 0.6, 0, 0)], 0.0, substeps)
     s_l, s_r = substeps or (1, 1)
     i = chain.labels.index(3)
     p = chain.transitions
@@ -469,3 +545,22 @@ def test_crossing_walk_tie_is_a_fair_coin(substeps):
     # off the tie the whole mass moves toward the crossing
     assert p[i - 1, i - 1 + s_r] == 0.0 and p[i - 1, i - 1 - s_l] == 0.4
     assert p[i + 1, i + 1 + s_r] == 0.4 and p[i + 1, i + 1 - s_l] == 0.0
+
+
+def test_crossing_walk_moves_between_tags():
+    # tag a's crossing leads to tag b and its quiet mass stays in a; tag b's
+    # crossing leads back to a and its quiet mass stays in b
+    tags = [(((3, 0.4),), 0.6, 1, 0), (((2, 0.5),), 0.5, 0, 1)]
+    chain = _crossing_walk(0, 6, tags, 0.0, names=("a", "b"))
+    labels, p = chain.labels, chain.transitions
+    assert labels[0] == 0 and labels[-1] == 6 and chain.absorbing == {0, chain.n_states - 1}
+
+    def at(k, name):
+        return labels.index((k, name))
+
+    assert [at(k, name) for k in (1, 5) for name in "ab"] == [1, 2, 9, 10]
+    assert p[at(3, "a"), at(4, "b")] == 0.2 and p[at(3, "a"), at(2, "b")] == 0.2
+    assert p[at(3, "a"), at(3, "a")] == 0.6
+    assert p[at(3, "b"), at(4, "a")] == 0.5 and p[at(3, "b"), at(3, "b")] == 0.5
+    assert p[at(1, "b"), 0] == 0.5 and p[at(5, "a"), chain.n_states - 1] == 0.4
+    assert p.sum(axis=1).tolist() == [1.0] * chain.n_states

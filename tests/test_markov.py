@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from mesosettle.markov import (
     DEFAULT_MAX_TRANSITIONS,
     AbsorbingChain,
     ConfidenceNotReached,
+    _absorbing_reachable,
     absorption_series,
     absorption_stats,
     build_canonical,
@@ -375,3 +377,56 @@ def test_wide_mismatch_chain_stays_sparse():
     k = np.arange(1, 1000)
     np.testing.assert_allclose(report.baseline_mean, 2.0 * k * (1000 - k), rtol=1e-9)
     assert report.at_position(500)["reduction_mean"] > 0.0
+
+
+def _oracle_absorbing_reachable(p, absorbing):
+    # the fixed-point loop the graph search replaced: grow the reached set
+    # by one sparse matvec over the support graph per step
+    support = (p > 0.0).astype(float)
+    reached = np.zeros(p.shape[0], dtype=bool)
+    reached[list(absorbing)] = True
+    while True:
+        grown = reached | (support @ reached > 0.0)
+        if np.array_equal(grown, reached):
+            return bool(reached.all())
+        reached = grown
+
+
+def _random_support_chain(rng, n, absorbing, density):
+    p = rng.random((n, n)) * (rng.random((n, n)) < density)
+    empty = p.sum(axis=1) == 0.0
+    p[empty, empty.nonzero()[0]] = 1.0  # a state with no move loops on itself
+    p[list(absorbing)] = 0.0
+    p[list(absorbing), list(absorbing)] = 1.0
+    return csr_array(p / p.sum(axis=1, keepdims=True))
+
+
+def test_reachability_search_matches_fixed_point_loop():
+    rng = np.random.default_rng(1901)
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 12))
+        absorbing = frozenset(rng.choice(n, size=int(rng.integers(1, 3)), replace=False).tolist())
+        p = _random_support_chain(rng, n, absorbing, rng.uniform(0.05, 0.5))
+        want = _oracle_absorbing_reachable(p, absorbing)
+        assert _absorbing_reachable(p, absorbing) == want
+        seen.add(want)
+        if want:
+            AbsorbingChain(p, absorbing)
+        else:
+            with pytest.raises(ValueError, match="cannot reach absorption"):
+                AbsorbingChain(p, absorbing)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("trap, reachable", [(False, True), (True, False)])
+def test_reachability_search_from_the_second_absorbing_state(trap, reachable):
+    # states 1 and 2 lead only to the second absorbing state 3, unless 2 is
+    # a trap, and then neither reaches any absorbing state
+    p = np.zeros((4, 4))
+    p[0, 0] = p[3, 3] = 1.0
+    p[1, 1] = p[1, 2] = 0.5
+    p[2, 2 if trap else 3] = 1.0
+    p, absorbing = csr_array(p), frozenset({0, 3})
+    assert _oracle_absorbing_reachable(p, absorbing) is reachable
+    assert _absorbing_reachable(p, absorbing) is reachable

@@ -457,7 +457,7 @@ def test_isi2_trial_matches_chain_mixture():
     weights = dict(A=0.125, B=0.125, C=0.125, D=0.125, X1=0.25, X2=0.25)
     k0 = width // 2
     mix_mean = sum(
-        weights[tag] * stats.mean_at((k0 - 1) * 6 + j) for j, tag in enumerate(ISI2_TAGS)
+        weights[tag] * stats.mean_at(chain.labels.index((k0, tag))) for tag in ISI2_TAGS
     )
     cfg = TrialConfig(
         channel=ChannelModel.discrete(isi2_trace(*subs)),
