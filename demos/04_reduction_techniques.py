@@ -22,7 +22,7 @@ from mesosettle import (
     compare_mismatch,
     compare_training,
     isi1_trace,
-    simulate_coarse_first,
+    run_monte_carlo,
 )
 
 width = 40
@@ -40,7 +40,7 @@ cfg = TrialConfig(
     window=WindowSpec(20),
     coarse_first=CoarseFirstSpec(coarse_step_steps=4, duration_cycles=40),
 )
-mc = simulate_coarse_first(cfg, 5000, 99)
+mc = run_monte_carlo(cfg, 5000, 99)
 print(f"  simulated: {100 * mc.escaped_within(40):.2f}% of trials escape"
       " inside a 40-cycle coarse phase")
 

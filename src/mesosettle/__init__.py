@@ -3,113 +3,18 @@
 Analytic absorbing-chain predictions and Monte Carlo behavioral trials
 for loops whose sampling clock starts inside the jitter-closed region
 of the data eye, plus the standard settling-time reduction techniques.
+
+The package exports each module's ``__all__``, in the order below; a
+module's list is the one declaration of its public names.
 """
 
-from .markov import (
-    AbsorbingChain,
-    AbsorptionSeries,
-    AbsorptionStats,
-    CanonicalForm,
-    ConfidenceNotReached,
-    absorption_series,
-    absorption_stats,
-    build_canonical,
-    point_mass,
-    transitions_for_confidence,
-)
-from .jitter import (
-    CombinedJitterSpec,
-    GaussianJitterSpec,
-    IsiTraceModel,
-    WindowSpec,
-    build_biased_chain,
-    build_combined_chain,
-    build_gaussian_chain,
-    build_isi1_chain,
-    build_isi2_chain,
-    isi1_trace,
-    isi2_trace,
-    position_profile,
-    start_distribution,
-    wrong_update_probability,
-)
-from .loop import LoopParams, deterministic_settling_time, phase_step, steps_to_lock
-from .sim import (
-    REFERENCE_CHANNELS,
-    BitSource,
-    ChannelModel,
-    CoarseFirstSpec,
-    EyeHistogram,
-    MonteCarloResult,
-    TrialConfig,
-    TrialResult,
-    crossing_histogram,
-    eye_traces,
-    generate_bits,
-    propagate_rc,
-    run_monte_carlo,
-    run_trial,
-    simulate_chain,
-    simulate_coarse_first,
-)
-from .reduction import (
-    CoarseFirstEstimate,
-    ReductionReport,
-    coarse_first_confidence,
-    compare_mismatch,
-    compare_training,
-)
+from . import jitter, loop, markov, reduction, sim
+from .jitter import *  # noqa: F403
+from .loop import *  # noqa: F403
+from .markov import *  # noqa: F403
+from .reduction import *  # noqa: F403
+from .sim import *  # noqa: F403
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AbsorbingChain",
-    "AbsorptionSeries",
-    "AbsorptionStats",
-    "BitSource",
-    "CanonicalForm",
-    "ChannelModel",
-    "CoarseFirstEstimate",
-    "CoarseFirstSpec",
-    "CombinedJitterSpec",
-    "ConfidenceNotReached",
-    "EyeHistogram",
-    "GaussianJitterSpec",
-    "IsiTraceModel",
-    "LoopParams",
-    "MonteCarloResult",
-    "REFERENCE_CHANNELS",
-    "ReductionReport",
-    "TrialConfig",
-    "TrialResult",
-    "WindowSpec",
-    "absorption_series",
-    "absorption_stats",
-    "build_biased_chain",
-    "build_canonical",
-    "build_combined_chain",
-    "build_gaussian_chain",
-    "build_isi1_chain",
-    "build_isi2_chain",
-    "coarse_first_confidence",
-    "compare_mismatch",
-    "compare_training",
-    "crossing_histogram",
-    "deterministic_settling_time",
-    "eye_traces",
-    "generate_bits",
-    "isi1_trace",
-    "isi2_trace",
-    "phase_step",
-    "point_mass",
-    "position_profile",
-    "propagate_rc",
-    "run_monte_carlo",
-    "run_trial",
-    "simulate_chain",
-    "simulate_coarse_first",
-    "start_distribution",
-    "steps_to_lock",
-    "transitions_for_confidence",
-    "wrong_update_probability",
-]
+__all__ = [*markov.__all__, *jitter.__all__, *loop.__all__, *sim.__all__, *reduction.__all__]

@@ -337,6 +337,12 @@ def mismatch_substeps(mismatch_percent) -> tuple[int, int]:
             f"mismatch {mismatch_percent}% needs sub-step denominator "
             f"{ratio.denominator} > 100"
         )
+    # walks count sub-steps in int64; s_R <= 100 fits, s_L may not
+    if ratio.numerator > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"mismatch_percent {mismatch_percent} needs {ratio.numerator} sub-steps "
+            "per left step, past 64-bit integers"
+        )
     return ratio.numerator, ratio.denominator
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "absorption_stats",
     "absorption_series",
     "transitions_for_confidence",
+    "point_mass",
 ]
 
 ROW_SUM_TOL = 1e-12

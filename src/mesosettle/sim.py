@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .jitter import GaussianJitterSpec, IsiTraceModel, WindowSpec, mismatch_substeps
+from .jitter import GaussianJitterSpec, IsiTraceModel, WindowSpec, isi2_trace, mismatch_substeps
 
 __all__ = [
     "TRAINING_PATTERN",
@@ -46,8 +46,6 @@ __all__ = [
     "crossing_histogram",
     "run_trial",
     "run_monte_carlo",
-    "simulate_coarse_first",
-    "simulate_chain",
     "REFERENCE_CHANNELS",
 ]
 
@@ -210,12 +208,20 @@ class TrialConfig:
             if self.initial_position not in (None, 0):
                 raise ValueError("a degenerate window only admits position 0")
             return
+        coarse = self.coarse_first
+        # walks count sub-steps in int64
+        s_r = self._substeps[1]
+        coarse_step = coarse.coarse_step_steps if coarse is not None else 0
+        for key, steps in (("width_steps", width), ("coarse_step_steps", coarse_step)):
+            if steps * s_r > np.iinfo(np.int64).max:
+                raise ValueError(
+                    f"{key} {steps} is {steps * s_r} sub-steps, past 64-bit integers"
+                )
         pos = trace.crossing_positions
         if pos[0] < 0 or pos[-1] > width:
             raise ValueError("crossing band must fit inside the window")
         if not 0 < self.initial < width:
             raise ValueError("initial position must lie strictly inside the window")
-        coarse = self.coarse_first
         if coarse is not None and coarse.duration_cycles > 0:
             edge = self.channel.jitter is None and set(pos) <= {0, width}
             if not (edge and trace.order == 1 and len(pos) == 2):
@@ -732,56 +738,6 @@ def run_monte_carlo(config: TrialConfig, trials: int, base_seed) -> MonteCarloRe
     return MonteCarloResult(cycles, sides)
 
 
-def simulate_coarse_first(config: TrialConfig, trials: int, base_seed) -> MonteCarloResult:
-    """Monte Carlo with the coarse phase enabled; degenerate without one."""
-    return run_monte_carlo(config, trials, base_seed)
-
-
-def simulate_chain(
-    chain,
-    initial_state: int,
-    trials: int,
-    base_seed,
-    max_steps: int = 100_000,
-) -> MonteCarloResult:
-    """Direct Monte Carlo over an AbsorbingChain's transition rows.
-
-    Cross-validates any analytic chain against sampled absorption times.
-    Exit side is the absorbing state's rank (first = left).
-    """
-    rng = np.random.default_rng(base_seed)
-    p = chain.transitions
-    ptr, cols = p.indptr, p.indices
-    absorbing = sorted(chain.absorbing)
-    states = np.full(trials, initial_state, dtype=np.int64)
-    cycles = np.full(trials, -1, dtype=np.int64)
-    sides = np.zeros(trials, dtype=np.int8)
-    active = np.ones(trials, dtype=bool)
-    for step in range(1, max_steps + 1):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        u = rng.random(idx.size)
-        cur = states[idx]
-        order = np.argsort(cur, kind="stable")
-        cur_o = cur[order]
-        starts = np.flatnonzero(np.r_[True, cur_o[1:] != cur_o[:-1]])
-        nxt = np.empty(idx.size, dtype=np.int64)
-        for a, b in zip(starts, np.r_[starts[1:], cur_o.size]):
-            # cumulative sums of the row's stored entries, in column order
-            lo, hi = ptr[cur_o[a]], ptr[cur_o[a] + 1]
-            k = np.searchsorted(np.cumsum(p.data[lo:hi]), u[order[a:b]], side="right")
-            # a draw at or above a row total just below 1 takes the last entry
-            nxt[order[a:b]] = cols[lo + np.minimum(k, hi - lo - 1)]
-        states[idx] = nxt
-        done = np.isin(nxt, absorbing)
-        hit = idx[done]
-        cycles[hit] = step
-        sides[hit] = np.where(states[hit] == absorbing[0], -1, 1)
-        active[hit] = False
-    return MonteCarloResult(cycles, sides)
-
-
 def _rc_system(channel: ChannelModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward-Euler modal filters for the ladder.
 
@@ -810,6 +766,8 @@ def _rc_system(channel: ChannelModel) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return gain, mu, q[-1, :]
 
 
+# the receiver's decision level: a crossing is where the waveform passes it
+_THRESHOLD = 0.5
 # room the crossing screen leaves for rounding in the closed-form samples
 _SCREEN_MARGIN = 1e-9
 # samples evaluated at once when screening for crossings
@@ -881,7 +839,7 @@ class _RcLine:
         return self._samples(dev, self.dc * u).ravel()
 
     def crossings(self, bits: np.ndarray) -> np.ndarray:
-        """Linearly interpolated crossings of 0.5, in UI from the start of bits.
+        """Linearly interpolated crossings of _THRESHOLD, in UI from the start of bits.
 
         The sample before the first one is the previous call's last, so a
         crossing between the two lands just before 0.  Samples are computed
@@ -889,7 +847,7 @@ class _RcLine:
         it, lies within sum |w * d| of its settled level dc * u.
         """
         u, dev = self._step(bits)
-        level = self.dc * u - 0.5
+        level = self.dc * u - _THRESHOLD
         before = dev @ self.wout + level
         # a UI whose end samples straddle the threshold passes this test too
         keep = np.flatnonzero(np.abs(level) <= np.abs(dev) @ np.abs(self.wout) + _SCREEN_MARGIN)
@@ -954,13 +912,12 @@ def crossing_histogram(
     waveform: np.ndarray,
     samples_per_ui: int,
     *,
-    threshold: float = 0.5,
     warmup_ui: int = 30,
     bins: int = 100,
     cluster_gap_ui: float = 0.02,
     bits: np.ndarray | None = None,
 ) -> EyeHistogram:
-    """Fold threshold crossings mod 1 UI and group them into clusters.
+    """Fold the crossings of _THRESHOLD mod 1 UI and group them into clusters.
 
     Clusters split at gaps wider than cluster_gap_ui after rotating the
     largest circular gap onto the fold seam.  window_ui is the full
@@ -971,8 +928,8 @@ def crossing_histogram(
     band cuts time into slots of one UI, and the crossing in slot s
     answers the transition into bit s - lag, for the smallest lag >= 0
     that lines every crossing up with its own transition.  Its label is
-    the two bits before the transition, each XORed with the new bit: the
-    four ISI-2 classes of jitter.ISI2_EMISSION.  A gap then splits
+    the ISI-2 class, 0-3 for A-D, that jitter.ISI2_EMISSION gives the
+    four bits ending at the transition.  A gap then splits
     clusters only if it is wider than cluster_gap_ui and no class has
     crossings on both sides of it, so cluster_gap_ui separates the
     classes' bands rather than crossings within one class.  Without bits,
@@ -980,7 +937,7 @@ def crossing_histogram(
     its transition, a crossing is its own class: every gap wider than
     cluster_gap_ui splits.
     """
-    s = np.asarray(waveform, dtype=float) - threshold
+    s = np.asarray(waveform, dtype=float) - _THRESHOLD
     if bits is not None and len(bits) * samples_per_ui != s.size:
         raise ValueError(
             f"{len(bits)} bits do not drive {s.size} samples at {samples_per_ui} per UI"
@@ -990,6 +947,10 @@ def crossing_histogram(
     return _fold_crossings(
         t, warmup_ui=warmup_ui, bins=bins, cluster_gap_ui=cluster_gap_ui, bits=bits
     )
+
+
+# the ISI-2 crossing index of each four-bit window, as the trials read it
+_ISI2_CODES = isi2_trace(1, 1, 1).codes
 
 
 def _isi2_classes(slots: np.ndarray, bits) -> np.ndarray:
@@ -1013,8 +974,7 @@ def _isi2_classes(slots: np.ndarray, bits) -> np.ndarray:
     else:
         return classes
     known = m >= 3
-    m = m[known]
-    classes[known] = 2 * (b[m - 2] ^ b[m]) + (b[m - 3] ^ b[m])
+    classes[known] = _ISI2_CODES[_windows(b, 3)[m[known] - 3]]
     return classes
 
 

@@ -47,7 +47,6 @@ from mesosettle.sim import (
     generate_bits,
     propagate_rc,
     run_monte_carlo,
-    simulate_coarse_first,
 )
 
 
@@ -197,7 +196,7 @@ def test_criterion_11_coarse_mode_escape_fraction():
     cfg = _isi1_trial(
         20, coarse_first=CoarseFirstSpec(coarse_step_steps=4, duration_cycles=40)
     )
-    mc = simulate_coarse_first(cfg, 10_000, 99)
+    mc = run_monte_carlo(cfg, 10_000, 99)
     assert mc.escaped_within(40) >= 0.99
 
 

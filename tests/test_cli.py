@@ -576,6 +576,14 @@ EYE = {"schema_version": 1, "channel": "benign", "bits_total": 60}
         ("sweep", {"schema_version": 1.0, "widths_steps": [2, 5]}),
         ("simulate", simulate_cfg(initial_offset_steps=4)),
         *OFF_CHAIN_STARTS,
+        ("simulate", {"schema_version": 1, "width_steps": 2**70}),
+        ("compare", {**TRAINING, "width_steps": 2**70}),
+        ("simulate", simulate_cfg(width_steps=40, coarse={"step_steps": 2**70,
+                                                          "duration_cycles": 5})),
+        ("analyze", {**BIASED, "mismatch_percent": 2**70}),
+        ("simulate", simulate_cfg(mismatch_percent=2**70)),
+        ("compare", {**MISMATCH, "mismatch_percent": 2**70}),
+        ("compare", {**TRAINING, "mismatch_percent": 2**70}),
     ],
     ids=[
         "positions-scalar",
@@ -615,6 +623,13 @@ EYE = {"schema_version": 1, "channel": "benign", "bits_total": 60}
         "isi2-start-absorbing",
         "gaussian-start-absorbing",
         "combined-start-absorbing",
+        "simulate-width-past-int64",
+        "training-width-past-int64",
+        "coarse-step-past-int64",
+        "biased-mismatch-past-int64",
+        "simulate-mismatch-past-int64",
+        "compare-mismatch-past-int64",
+        "training-mismatch-past-int64",
     ],
 )
 def test_bad_config_shape_exits_2(tmp_path, capsys, command, cfg):
@@ -628,11 +643,14 @@ def test_bad_config_shape_exits_2(tmp_path, capsys, command, cfg):
 
 
 # Wrong types, edge integers, non-finite numbers, lists and mappings.  No
-# value is large: a large width, sample rate or bin count makes a run slow,
-# which is a cost question rather than a config error.
+# value is merely large: a large width, sample rate or bin count makes a
+# run slow, which is a cost question rather than a config error.  A value
+# past int64 is refused before anything is allocated, unless it is a cap
+# such as max_transitions, which runs.
 FUZZ_POOL = [
     -1, 0, 1, 2, 3, 16, 0.5, 2.5, -0.5, float("nan"), float("inf"), float("-inf"),
     True, False, None, "x", "", [], [1], [1, 2, 3], {}, {"duration_cycles": 10},
+    2**70, {"step_steps": 2**70, "duration_cycles": 10},
 ]
 SIM_KEYS = ["source", "bit_probability", "pattern_bits", "mismatch_percent",
             "jitter_sigma_steps", "initial_offset_steps", "coarse"]

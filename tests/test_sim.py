@@ -23,7 +23,6 @@ from mesosettle.jitter import (
     IsiTraceModel,
     WindowSpec,
     build_combined_chain,
-    build_gaussian_chain,
     build_isi1_chain,
     build_isi2_chain,
     isi1_trace,
@@ -43,8 +42,6 @@ from mesosettle.sim import (
     propagate_rc,
     run_monte_carlo,
     run_trial,
-    simulate_chain,
-    simulate_coarse_first,
 )
 
 
@@ -598,18 +595,16 @@ def test_rc_config_rules():
 
 def test_coarse_first_degenerate_equals_plain():
     cfg = isi1_config(12)
-    a = simulate_coarse_first(cfg, 50, 31)
     b = run_monte_carlo(cfg, 50, 31)
-    assert np.array_equal(a.escape_cycles, b.escape_cycles)
-    assert np.array_equal(a.exit_sides, b.exit_sides)
     zero = replace(cfg, coarse_first=CoarseFirstSpec(1, 0))
-    c = simulate_coarse_first(zero, 50, 31)
+    c = run_monte_carlo(zero, 50, 31)
     assert np.array_equal(c.escape_cycles, b.escape_cycles)
+    assert np.array_equal(c.exit_sides, b.exit_sides)
 
 
 def test_coarse_first_escapes_fast():
     cfg = isi1_config(5, coarse_first=CoarseFirstSpec(1, 40), max_cycles=5000)
-    res = simulate_coarse_first(cfg, 3000, 5)
+    res = run_monte_carlo(cfg, 3000, 5)
     assert res.escaped_within(40) >= 0.999
 
 
@@ -636,21 +631,6 @@ def test_coarse_rejects_four_crossing_trace():
             window=WindowSpec(10),
             coarse_first=CoarseFirstSpec(1, 10),
         )
-
-
-# ---------------------------------------------------------- chain walker
-
-
-def test_simulate_chain_gaussian():
-    chain = build_gaussian_chain(GaussianJitterSpec(sigma_steps=4.0))
-    stats = absorption_stats(chain)
-    center = (chain.n_states - 1) // 2
-    res = simulate_chain(chain, center, 6000, 17)
-    assert res.escaped_fraction == 1.0
-    assert abs(res.mean_cycles - stats.mean_at(center)) < 3.5 * res.stderr_cycles
-    # symmetric chain from the center exits either side equally often
-    se = np.sqrt(0.25 / 6000)
-    assert res.exit_right_fraction == pytest.approx(0.5, abs=3.5 * se)
 
 
 def test_training_source_drifts_deterministically():
