@@ -13,7 +13,6 @@ import numpy as np
 from mesosettle import (
     BitSource,
     ChannelModel,
-    GaussianJitterSpec,
     TrialConfig,
     WindowSpec,
     absorption_stats,
@@ -50,9 +49,8 @@ cfg = TrialConfig(
     channel=ChannelModel.discrete(isi1_trace(width)),
     source=BitSource.bernoulli(0.5),
     window=window,
-    record_trajectory=True,
 )
-tr = run_trial(cfg, 7)
+tr = run_trial(cfg, 7, record=True)
 path = tr.trajectory
 marks = np.linspace(0, path.size - 1, min(path.size, 12)).astype(int)
 print(f"\none trial: escaped {tr.exit_side} after {tr.escape_cycle} cycles")
@@ -60,9 +58,8 @@ print("  cycle:", " ".join(f"{m:5d}" for m in marks))
 print("  pos  :", " ".join(f"{path[m]:5.0f}" for m in marks))
 
 # Gaussian crossing jitter widens the effective band
-jit = GaussianJitterSpec(sigma_steps=1.5)
 cfg = TrialConfig(
-    channel=ChannelModel.discrete(isi1_trace(width), jitter=jit),
+    channel=ChannelModel.discrete(isi1_trace(width), sigma_steps=1.5),
     source=BitSource.bernoulli(0.5),
     window=window,
 )

@@ -225,10 +225,7 @@ def _source_from(cfg: dict) -> sim.BitSource:
     if kind == "alternating":
         return sim.BitSource.alternating()
     if kind == "explicit":
-        bits = _pop(cfg, "pattern_bits")
-        if not isinstance(bits, list):
-            raise ConfigError(f"pattern_bits must be a list of bits, got {bits!r}")
-        return sim.BitSource.explicit(bits)
+        return sim.BitSource.explicit(_list(cfg, "pattern_bits", _as_int))
     raise ConfigError(f"unknown source {kind!r}")
 
 
@@ -339,10 +336,9 @@ def _trial_config_from(cfg: dict) -> tuple[sim.TrialConfig, dict]:
         )
         _done(nested, "coarse")
     sigma = _float(cfg, "jitter_sigma_steps", None)
-    jit = None if sigma is None else jitter.GaussianJitterSpec(sigma_steps=sigma)
     trace = jitter.isi1_trace(window.width_steps)
     config = sim.TrialConfig(
-        channel=sim.ChannelModel.discrete(trace, jitter=jit),
+        channel=sim.ChannelModel.discrete(trace, sigma),
         source=source,
         window=window,
         max_cycles=max_cycles,
@@ -399,7 +395,7 @@ def cmd_simulate(args, outdir: str) -> dict:
     )
 
     if record:
-        tr = sim.run_trial(replace(configs[0], record_trajectory=True), (seed, 0, 0))
+        tr = sim.run_trial(configs[0], (seed, 0, 0), record=True)
         traj = tr.trajectory
         _write_csv(
             os.path.join(outdir, "trajectory.csv"),

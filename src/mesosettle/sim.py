@@ -1,16 +1,19 @@
 """Behavioral Monte Carlo of the retiming loop plus waveform utilities.
 
-Trials come in two kinds.  An edge walk -- a clean discrete trace whose
-every crossing sits on a window edge, with or without mismatch or the
-coarse-acquisition latch, fed by any bit source -- draws nothing but
-bits, and each cycle's move follows from its bit window alone, so the
-walk is a prefix sum of per-cycle moves.  ``_edge_walks`` steps a batch
-of such trials together: ``run_monte_carlo`` sends them through it in
-blocks of ``_BLOCK_TRIALS`` trials, each round holding at most
-``_ROUND_ELEMENTS`` (trial, cycle) cells, and ``run_trial`` calls it as a
-batch of one.  Every other trial (jitter, interior ISI-2 crossings, RC
-lines) is a crossing-stream producer feeding ``_walk``, which moves the
-clock one crossing at a time because each move depends on the position.
+Every trial runs through one dispatcher, ``_walks``, one generator per
+trial.  An edge walk -- a clean discrete trace whose every crossing sits
+on a window edge, with or without mismatch or the coarse-acquisition
+latch, fed by any bit source -- draws nothing but bits, and each cycle's
+move follows from its bit window alone, so the walk is a prefix sum of
+per-cycle moves: ``_edge_walks`` steps a batch of them together, each
+round holding at most ``_ROUND_ELEMENTS`` (trial, cycle) cells.  Every
+other trial (jitter, interior ISI-2 crossings, RC lines) is a
+crossing-stream producer feeding ``_walk``, which moves the clock one
+crossing at a time because each move depends on the position; a
+discrete trace's crossings are jittered by
+``ChannelModel.discrete(trace, sigma_steps)``.  ``run_monte_carlo`` sends
+blocks of ``_BLOCK_TRIALS`` trials through ``_walks``, and
+``run_trial(config, seed, record=False)`` is a batch of one.
 Trial k of a run always draws the stream of its own
 ``default_rng((base_seed, k))``, so its result does not depend on the
 batch or the trial count.  ``_trial_rngs`` produces those streams a block
@@ -25,11 +28,11 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jitter import GaussianJitterSpec, IsiTraceModel, WindowSpec, isi2_trace, mismatch_substeps
+from .jitter import IsiTraceModel, WindowSpec, isi2_trace, mismatch_substeps
 
 __all__ = [
     "TRAINING_PATTERN",
@@ -92,7 +95,7 @@ class BitSource:
 
     @classmethod
     def explicit(cls, bits) -> "BitSource":
-        return cls("explicit", pattern=tuple(int(b) for b in bits))
+        return cls("explicit", pattern=tuple(bits))
 
     @property
     def cycle_pattern(self) -> np.ndarray | None:
@@ -103,11 +106,11 @@ class BitSource:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Either a precomputed crossing trace or a physical RC ladder."""
+    """A precomputed crossing trace, Gaussian-jittered by sigma_steps if set, or an RC ladder."""
 
     kind: str
     trace: IsiTraceModel | None = None
-    jitter: GaussianJitterSpec | None = None
+    sigma_steps: float | None = None
     sections: int = 20
     r_per_section: float = 1.0
     c_per_section_ui: float = 0.002
@@ -117,8 +120,10 @@ class ChannelModel:
         if self.kind == "discrete_trace":
             if self.trace is None:
                 raise ValueError("discrete_trace channel needs a trace model")
+            if self.sigma_steps is not None and not 0 < self.sigma_steps < np.inf:
+                raise ValueError("sigma_steps must be positive and finite")
         elif self.kind == "rc_line":
-            if self.jitter is not None:
+            if self.sigma_steps is not None:
                 raise ValueError("crossing jitter applies to discrete traces only")
             if self.sections < 1:
                 raise ValueError("ladder needs at least one section")
@@ -130,10 +135,8 @@ class ChannelModel:
             raise ValueError(f"unknown channel kind {self.kind!r}")
 
     @classmethod
-    def discrete(
-        cls, trace: IsiTraceModel, jitter: GaussianJitterSpec | None = None
-    ) -> "ChannelModel":
-        return cls("discrete_trace", trace=trace, jitter=jitter)
+    def discrete(cls, trace: IsiTraceModel, sigma_steps: float | None = None) -> "ChannelModel":
+        return cls("discrete_trace", trace=trace, sigma_steps=sigma_steps)
 
     @classmethod
     def rc(cls, r: float, c: float, samples_per_ui: int, sections: int = 20) -> "ChannelModel":
@@ -183,7 +186,6 @@ class TrialConfig:
     max_cycles: int = 1_000_000
     mismatch_percent: float = 0.0
     coarse_first: CoarseFirstSpec | None = None
-    record_trajectory: bool = False
     # (s_left, s_right) sub-steps of the mismatch, resolved once here
     _substeps: tuple[int, int] = field(init=False, repr=False, compare=False)
 
@@ -223,8 +225,7 @@ class TrialConfig:
         if not 0 < self.initial < width:
             raise ValueError("initial position must lie strictly inside the window")
         if coarse is not None and coarse.duration_cycles > 0:
-            edge = self.channel.jitter is None and set(pos) <= {0, width}
-            if not (edge and trace.order == 1 and len(pos) == 2):
+            if not (_is_edge_walk(self) and trace.order == 1 and len(pos) == 2):
                 raise ValueError("coarse acquisition supports clean two-crossing traces only")
 
     @property
@@ -353,8 +354,14 @@ def _windows(seq: np.ndarray, ctx: int) -> np.ndarray:
     return key.astype(np.intp)
 
 
-def _trace_events(trace: IsiTraceModel, cross: np.ndarray, sigma: float, bits: _BitStreams):
-    """Crossing producer of a discrete trace: codes read off one trial's bit stream."""
+def _trace_events(config: TrialConfig, rng: np.random.Generator):
+    """Crossing producer of a discrete trace, with start and width in steps:
+    codes read off one trial's bit stream, jittered by sigma_steps if set."""
+    trace = config.channel.trace
+    s_r = config._substeps[1]
+    cross = np.asarray(trace.crossing_positions) * s_r
+    sigma = (config.channel.sigma_steps or 0.0) * s_r
+    bits = _BitStreams(config.source, [rng])
     ctx = trace.order + 1
     tail = bits.take(ctx)
 
@@ -366,17 +373,10 @@ def _trace_events(trace: IsiTraceModel, cross: np.ndarray, sigma: float, bits: _
         t = np.flatnonzero(code >= 0)
         c = cross[code[t]]
         if sigma:
-            c = c + sigma * bits.rngs[0].standard_normal(t.size)
+            c = c + sigma * rng.standard_normal(t.size)
         return t, c
 
-    return events
-
-
-def _trial_result(cycle, side: int, trajectory) -> TrialResult:
-    """side is -1 for a left exit, +1 for a right one and 0 for no escape."""
-    if not side:
-        return TrialResult(False, None, None, trajectory)
-    return TrialResult(True, int(cycle), "left" if side < 0 else "right", trajectory)
+    return events, config.initial, config.window.width_steps
 
 
 def _trajectory(pieces, s_r: int, w: int, side: int) -> np.ndarray:
@@ -388,22 +388,23 @@ def _trajectory(pieces, s_r: int, w: int, side: int) -> np.ndarray:
     return trajectory
 
 
-def _walk(events, cycles: int, pos: int, w: int, substeps, rng, record: bool) -> TrialResult:
+def _walk(config: TrialConfig, events, start: int, w: int, rng, record: bool):
     """The phase-detector walk over a crossing stream, one crossing at a time.
 
     events(n) gives the crossings of the next n cycles as cycle indices t
     (-1 for a crossing just before the chunk) and positions c in
     sub-steps; a crossing left of the clock moves it s_r sub-steps right,
     one right of it s_l sub-steps left, and a fair coin decides a tie.
-    Positions 0 and g = w * s_r absorb.  Only walks whose moves depend on
-    the position come here: jitter, interior crossings and RC lines.
+    The walk starts start steps into a window of w whose edges absorb, and
+    returns one row of _edge_walks.  Only walks whose moves depend on the
+    position come here: jitter, interior crossings and RC lines.
     """
-    s_l, s_r = substeps
-    g = w * s_r
+    s_l, s_r = config._substeps
+    g, pos = w * s_r, start * s_r
     traj = [np.array([pos], dtype=float)] if record else None
-    base, cycle, side, chunk = 0, None, 0, _CHUNK0
-    while cycles > 0 and cycle is None:
-        n = min(chunk, cycles)
+    base, cycle, side, chunk = 0, -1, 0, _CHUNK0
+    while base < config.max_cycles and not side:
+        n = min(chunk, config.max_cycles - base)
         t, c = events(n)
         steps, p = [], pos
         for ck in c.tolist():
@@ -421,16 +422,15 @@ def _walk(events, cycles: int, pos: int, w: int, substeps, rng, record: bool) ->
             side = -1 if path[-1] <= 0 else 1
         if record:
             # per cycle, the position after its last crossing so far
-            stop = max(int(t[-1]), 0) + 1 if cycle is not None else n
+            stop = max(int(t[-1]), 0) + 1 if side else n
             seen = np.searchsorted(np.maximum(t, 0), np.arange(stop), side="right")
             traj.append(np.r_[pos, path][seen].astype(float))
         if path.size:
             pos = int(path[-1])
         base += n
-        cycles -= n
         chunk = min(chunk * 4, _CHUNK_MAX)
 
-    return _trial_result(cycle, side, _trajectory(traj, s_r, w, side) if record else None)
+    return cycle, side, _trajectory(traj, s_r, w, side) if record else None
 
 
 def _is_edge_walk(config: TrialConfig) -> bool:
@@ -441,7 +441,8 @@ def _is_edge_walk(config: TrialConfig) -> bool:
         return False
     w = config.window.width_steps
     return w == 0 or (
-        config.channel.jitter is None and set(config.channel.trace.crossing_positions) <= {0, w}
+        config.channel.sigma_steps is None
+        and set(config.channel.trace.crossing_positions) <= {0, w}
     )
 
 
@@ -524,29 +525,32 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
     return cycles, sides, _trajectory(traj, s_r, w, sides[0]) if record else None
 
 
-def run_trial(config: TrialConfig, seed) -> TrialResult:
-    """One trial drawing from default_rng(seed): seed may be an int, a
-    sequence of ints or a Generator, which the trial then draws from."""
-    rng = np.random.default_rng(seed)
+def _walks(config: TrialConfig, rngs, record: bool = False):
+    """The one trial dispatcher: what _edge_walks returns, for one trial per
+    generator.  Edge walks step together; every other trial walks its own
+    crossing producer through _walk."""
     if _is_edge_walk(config):
-        cycles, sides, traj = _edge_walks(config, [rng], config.record_trajectory)
-        return _trial_result(cycles[0], sides[0], traj)
-    if config.channel.kind == "rc_line":
-        return _rc_trial(config, rng)
-    trace = config.channel.trace
-    s_r = config._substeps[1]
-    cross = np.asarray(trace.crossing_positions) * s_r
-    sigma = config.channel.jitter.sigma_steps * s_r if config.channel.jitter else 0.0
-    events = _trace_events(trace, cross, sigma, _BitStreams(config.source, [rng]))
-    return _walk(events, config.max_cycles, config.initial * s_r, config.window.width_steps,
-                 config._substeps, rng, config.record_trajectory)
+        return _edge_walks(config, rngs, record)
+    produce = _rc_line_events if config.channel.kind == "rc_line" else _trace_events
+    cycles, sides, trajs = zip(*(_walk(config, *produce(config, r), r, record) for r in rngs))
+    return np.array(cycles, dtype=np.int64), np.array(sides, dtype=np.int8), trajs[-1]
+
+
+def run_trial(config: TrialConfig, seed, record: bool = False) -> TrialResult:
+    """One trial drawing from default_rng(seed): seed may be an int, a
+    sequence of ints or a Generator, which the trial then draws from.
+    record keeps the position after each cycle as the trajectory."""
+    cycles, sides, traj = _walks(config, [np.random.default_rng(seed)], record)
+    if not sides[0]:
+        return TrialResult(False, None, None, traj)
+    return TrialResult(True, int(cycles[0]), "left" if sides[0] < 0 else "right", traj)
 
 
 _RC_CAL_UI = 288
 
 
-def _rc_trial(config: TrialConfig, rng: np.random.Generator) -> TrialResult:
-    """Trial over a physical line: crossings are measured off the waveform.
+def _rc_line_events(config: TrialConfig, rng: np.random.Generator):
+    """Crossing producer of a physical line: crossings are measured off the waveform.
 
     A bernoulli calibration burst locates the susceptibility band; the
     payload then runs through the same line state so the line never
@@ -556,22 +560,20 @@ def _rc_trial(config: TrialConfig, rng: np.random.Generator) -> TrialResult:
     hist = _fold_crossings(line.crossings(rng.random(_RC_CAL_UI) < 0.5))
     win_ui = hist.window_ui
 
-    s_r = config._substeps[1]
     w = max(2, int(round(win_ui / config.step_tau)))
     init = config.initial_position if config.initial_position is not None else w // 2
     if not 0 < init < w:
         raise ValueError(
             f"initial position must lie strictly inside the measured {w}-step window"
         )
-    events = _rc_events(line, _BitStreams(config.source, [rng]), hist.band_start_ui, win_ui,
-                        s_r / config.step_tau)
-    return _walk(events, config.max_cycles, init * s_r, w, config._substeps, rng,
-                 config.record_trajectory)
+    scale = config._substeps[1] / config.step_tau
+    events = _rc_events(line, _BitStreams(config.source, [rng]), hist.band_start_ui, win_ui, scale)
+    return events, init, w
 
 
 def _rc_events(line: _RcLine, bits: _BitStreams, band: float, win_ui: float, scale: float):
-    """Crossing producer of an RC line: the first crossing of each cycle,
-    placed relative to the band start and scaled to sub-steps."""
+    """The first crossing of each cycle of an RC line, placed relative to
+    the band start and scaled to sub-steps."""
     last = -2  # cycle of the previous chunk's last crossing, counted from this chunk
 
     def events(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -712,29 +714,18 @@ def _trial_rngs(base_seed, lo: int, hi: int):
 def run_monte_carlo(config: TrialConfig, trials: int, base_seed) -> MonteCarloResult:
     """Independent trials with per-trial seeds (base_seed, trial_index).
 
-    Trials run in blocks of _BLOCK_TRIALS, each seeded at once by
-    _trial_rngs: edge walks step a block together through _edge_walks,
-    and every other walk runs run_trial on each trial's generator.  Trial
-    k's result does not depend on the trial count.  Trajectories are not
-    recorded.
+    Trials run through _walks in blocks of _BLOCK_TRIALS, each seeded at
+    once by _trial_rngs.  Trial k's result does not depend on the trial
+    count.  Trajectories are not recorded.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    cycles = np.full(trials, -1, dtype=np.int64)
-    sides = np.zeros(trials, dtype=np.int8)
-    edge = _is_edge_walk(config)
-    cfg = replace(config, record_trajectory=False)
+    cycles = np.empty(trials, dtype=np.int64)
+    sides = np.empty(trials, dtype=np.int8)
     for lo in range(0, trials, _BLOCK_TRIALS):
         hi = min(lo + _BLOCK_TRIALS, trials)
         with _trial_rngs(base_seed, lo, hi) as rngs:
-            if edge:
-                cycles[lo:hi], sides[lo:hi], _ = _edge_walks(cfg, rngs)
-                continue
-            for k, rng in enumerate(rngs, lo):
-                res = run_trial(cfg, rng)
-                if res.escaped:
-                    cycles[k] = res.escape_cycle
-                    sides[k] = -1 if res.exit_side == "left" else 1
+            cycles[lo:hi], sides[lo:hi], _ = _walks(config, rngs)
     return MonteCarloResult(cycles, sides)
 
 
@@ -762,6 +753,12 @@ def _rc_system(channel: ChannelModel) -> tuple[np.ndarray, np.ndarray, np.ndarra
     a /= rc
     lam, q = np.linalg.eigh(a)
     mu = 1.0 / (1.0 - dt * lam)
+    if (mu == 1.0).any():
+        # the mode's DC level gain / (1 - mu) would divide by zero
+        raise ValueError(
+            f"section RC {rc:.3g} UI is too slow for {spu} samples per UI: a ladder pole "
+            "rounds to 1; lower c_per_section_ui or r_per_section"
+        )
     gain = dt * mu * q[0, :] / rc
     return gain, mu, q[-1, :]
 

@@ -534,6 +534,15 @@ BIASED = {"schema_version": 1, "model": "biased", "width_steps": 40}
 MISMATCH = {"schema_version": 1, "technique": "mismatch", "width_steps": 40}
 TRAINING = {"schema_version": 1, "technique": "training", "width_steps": 12, "trials": 4}
 EYE = {"schema_version": 1, "channel": "benign", "bits_total": 60}
+# (command, config, a key the error must name)
+KEYED_ERRORS = [
+    ("simulate", simulate_cfg(source="explicit", pattern_bits=[0.5, 1.7, 0.9]), "pattern_bits"),
+    ("simulate", simulate_cfg(source="explicit", pattern_bits=[True, False]), "pattern_bits"),
+    ("eye", {**EYE, "source": "explicit", "pattern_bits": [0.5, 1.7, 0.9]}, "pattern_bits"),
+    # the ladder's poles round to 1, which would divide by zero
+    ("eye", {"schema_version": 1, "c_per_section_ui": 2**70, "samples_per_ui": 16},
+     "c_per_section_ui"),
+]
 
 
 @pytest.mark.parametrize(
@@ -584,6 +593,8 @@ EYE = {"schema_version": 1, "channel": "benign", "bits_total": 60}
         ("simulate", simulate_cfg(mismatch_percent=2**70)),
         ("compare", {**MISMATCH, "mismatch_percent": 2**70}),
         ("compare", {**TRAINING, "mismatch_percent": 2**70}),
+        ("simulate", simulate_cfg(source="explicit", pattern_bits=[0, 2])),
+        *[(command, cfg) for command, cfg, _ in KEYED_ERRORS],
     ],
     ids=[
         "positions-scalar",
@@ -630,6 +641,11 @@ EYE = {"schema_version": 1, "channel": "benign", "bits_total": 60}
         "simulate-mismatch-past-int64",
         "compare-mismatch-past-int64",
         "training-mismatch-past-int64",
+        "simulate-pattern-two",
+        "simulate-pattern-floats",
+        "simulate-pattern-bools",
+        "eye-pattern-floats",
+        "ladder-pole-rounds-to-1",
     ],
 )
 def test_bad_config_shape_exits_2(tmp_path, capsys, command, cfg):
@@ -640,6 +656,9 @@ def test_bad_config_shape_exits_2(tmp_path, capsys, command, cfg):
     if (command, cfg) in OFF_CHAIN_STARTS:
         start = cfg["initial_offset_steps"]
         assert err == f"config error: initial position {start} is not a transient state\n"
+    for keyed_command, keyed_cfg, key in KEYED_ERRORS:
+        if (command, cfg) == (keyed_command, keyed_cfg):
+            assert key in err
 
 
 # Wrong types, edge integers, non-finite numbers, lists and mappings.  No

@@ -19,7 +19,6 @@ from mesosettle.jitter import (
     ISI2_EMISSION,
     ISI2_TAGS,
     CombinedJitterSpec,
-    GaussianJitterSpec,
     IsiTraceModel,
     WindowSpec,
     build_combined_chain,
@@ -87,6 +86,10 @@ def test_source_validation():
         BitSource.explicit([])
     with pytest.raises(ValueError):
         BitSource.explicit([0, 2])
+    # entries are never rounded or truncated to a bit
+    for bad in ([0.5, 1.7, 0.9], [1, 0.5], ["1", "0"]):
+        with pytest.raises(ValueError, match="0/1 pattern"):
+            BitSource.explicit(bad)
     with pytest.raises(ValueError):
         BitSource("mystery")
 
@@ -127,6 +130,13 @@ def test_rc_rejects_coarse_time_step():
         ChannelModel.rc(r=1.0, c=0.005, samples_per_ui=8)
     with pytest.raises(ValueError):
         propagate_rc(ChannelModel.discrete(isi1_trace(4)), np.ones(4))
+
+
+def test_rc_rejects_pole_that_rounds_to_one():
+    # dt * lambda vanishes next to 1, so 1 - mu would divide by zero
+    chan = ChannelModel.rc(r=1.0, c=2.0**70, samples_per_ui=16)
+    with pytest.raises(ValueError, match="c_per_section_ui or r_per_section"):
+        propagate_rc(chan, np.ones(10, dtype=int))
 
 
 def per_sample_wave(chan, bits):
@@ -367,10 +377,10 @@ def test_eye_traces_shape():
 
 
 def test_trial_reproducibility():
-    cfg = isi1_config(20, record_trajectory=True)
-    a = run_trial(cfg, (9, 0))
-    b = run_trial(cfg, (9, 0))
-    c = run_trial(cfg, (9, 1))
+    cfg = isi1_config(20)
+    a = run_trial(cfg, (9, 0), record=True)
+    b = run_trial(cfg, (9, 0), record=True)
+    c = run_trial(cfg, (9, 1), record=True)
     assert a.escape_cycle == b.escape_cycle
     assert np.array_equal(a.trajectory, b.trajectory)
     assert a.escape_cycle != c.escape_cycle or not np.array_equal(a.trajectory, c.trajectory)
@@ -388,8 +398,7 @@ def test_trajectory_moves_only_on_transitions():
     # alternating data transitions every cycle and always crosses early,
     # so the walk marches right one step per cycle and exits at the edge
     cfg = replace(isi1_config(10, initial_position=3), source=BitSource.alternating())
-    cfg = replace(cfg, record_trajectory=True)
-    res = run_trial(cfg, 0)
+    res = run_trial(cfg, 0, record=True)
     assert res.escaped and res.exit_side == "right"
     assert res.escape_cycle == 7
     assert np.array_equal(res.trajectory, np.arange(3, 11, dtype=float))
@@ -397,10 +406,10 @@ def test_trajectory_moves_only_on_transitions():
 
 def test_quiet_source_never_escapes():
     cfg = replace(
-        isi1_config(10, max_cycles=500, record_trajectory=True),
+        isi1_config(10, max_cycles=500),
         source=BitSource.explicit([1]),
     )
-    res = run_trial(cfg, 1)
+    res = run_trial(cfg, 1, record=True)
     assert not res.escaped
     assert res.escape_cycle is None
     assert np.all(res.trajectory == 5.0)
@@ -435,8 +444,8 @@ def test_mc_mean_matches_chain():
 
 
 def test_mismatch_trial_grid():
-    cfg = isi1_config(8, mismatch_percent=10, record_trajectory=True)
-    res = run_trial(cfg, 2)
+    cfg = isi1_config(8, mismatch_percent=10)
+    res = run_trial(cfg, 2, record=True)
     # left moves are 1.1 steps on the tau axis, right moves 1.0; the final
     # sample is clamped to the window edge, so skip its diff
     diffs = np.diff(res.trajectory)[:-1]
@@ -494,9 +503,8 @@ def test_degenerate_window_escapes_immediately():
         channel=ChannelModel.discrete(isi1_trace(10)),
         source=BitSource.bernoulli(0.5),
         window=WindowSpec(0),
-        record_trajectory=True,
     )
-    res = run_trial(cfg, 0)
+    res = run_trial(cfg, 0, record=True)
     assert res.escaped and res.escape_cycle == 0
     assert res.trajectory.tolist() == [0.0]
 
@@ -513,7 +521,7 @@ def test_jittered_trace_matches_combined_chain():
         transition_table=dict(ISI1_TABLE),
     )
     cfg = TrialConfig(
-        channel=ChannelModel.discrete(trace, jitter=GaussianJitterSpec(sigma_steps=sigma)),
+        channel=ChannelModel.discrete(trace, sigma_steps=sigma),
         source=BitSource.bernoulli(0.5),
         window=WindowSpec(w_ab + 2 * collar),
     )
@@ -522,19 +530,21 @@ def test_jittered_trace_matches_combined_chain():
     assert abs(res.mean_cycles - mean) < 3.5 * res.stderr_cycles
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
+def test_jitter_sigma_is_positive_and_finite(sigma):
+    with pytest.raises(ValueError, match="sigma_steps must be positive and finite"):
+        ChannelModel.discrete(isi1_trace(12), sigma)
+
+
 def test_jitter_needs_discrete_channel():
     with pytest.raises(ValueError):
-        ChannelModel(
-            "rc_line", jitter=GaussianJitterSpec(sigma_steps=1.0), c_per_section_ui=0.02
-        )
+        ChannelModel("rc_line", sigma_steps=1.0, c_per_section_ui=0.02)
 
 
 def test_coarse_rejects_jittered_trace():
     with pytest.raises(ValueError, match="coarse"):
         TrialConfig(
-            channel=ChannelModel.discrete(
-                isi1_trace(12), jitter=GaussianJitterSpec(sigma_steps=0.5)
-            ),
+            channel=ChannelModel.discrete(isi1_trace(12), sigma_steps=0.5),
             source=BitSource.bernoulli(0.5),
             window=WindowSpec(12),
             coarse_first=CoarseFirstSpec(coarse_step_steps=2, duration_cycles=50),
@@ -556,8 +566,8 @@ def rc_trial_config(**kw):
 
 
 def test_rc_trial_measures_window_and_escapes():
-    cfg = rc_trial_config(record_trajectory=True)
-    res = run_trial(cfg, 5)
+    cfg = rc_trial_config()
+    res = run_trial(cfg, 5, record=True)
     assert res.escaped and res.escape_cycle >= 1
     assert res.trajectory.size == res.escape_cycle + 1
     assert res.trajectory.min() >= 0.0
@@ -613,10 +623,10 @@ def test_coarse_step_every_cycle():
     # still walks one coarse step per cycle straight to an edge
     cfg = replace(
         isi1_config(9, initial_position=4, coarse_first=CoarseFirstSpec(1, 30),
-                    max_cycles=100, record_trajectory=True),
+                    max_cycles=100),
         source=BitSource.explicit([0]),
     )
-    res = run_trial(cfg, 8)
+    res = run_trial(cfg, 8, record=True)
     assert res.escaped
     assert res.escape_cycle in (4, 5)
     steps = np.abs(np.diff(res.trajectory))
@@ -667,12 +677,12 @@ def walk_stream_cases():
         "coarse-short": isi1_config(40, coarse_first=CoarseFirstSpec(1, 30)),
         "coarse-long": isi1_config(200, coarse_first=CoarseFirstSpec(1, 5000)),
         "jitter": TrialConfig(
-            channel=ChannelModel.discrete(collar, GaussianJitterSpec(sigma_steps=1.5)),
+            channel=ChannelModel.discrete(collar, 1.5),
             source=bern,
             window=WindowSpec(16),
         ),
         "jitter-long": TrialConfig(
-            channel=ChannelModel.discrete(isi1_trace(60), GaussianJitterSpec(sigma_steps=0.75)),
+            channel=ChannelModel.discrete(isi1_trace(60), 0.75),
             source=bern,
             window=WindowSpec(60),
         ),
@@ -690,7 +700,7 @@ def walk_stream_digests() -> dict:
     for name, cfg in walk_stream_cases().items():
         for record in (False, True):
             for seed in range(6):
-                res = run_trial(replace(cfg, record_trajectory=record), seed)
+                res = run_trial(cfg, seed, record)
                 traj = None
                 if res.trajectory is not None:
                     traj = hashlib.sha256(res.trajectory.tobytes()).hexdigest()
@@ -838,6 +848,14 @@ def test_batch_matches_single_trials_and_oracle(name):
         assert batch_results(run_monte_carlo(cfg, m, 3)) == big[:m]
 
 
+@pytest.mark.parametrize("name", list(walk_stream_cases()))
+def test_run_trial_is_a_batch_of_one(name):
+    """One dispatcher serves both entry points: trial k of a run is
+    run_trial on trial k's seed, for every kind of walk."""
+    cfg = walk_stream_cases()[name]
+    assert batch_results(run_monte_carlo(cfg, 4, 11)) == solo_results(cfg, 11, 4)
+
+
 def test_threads_match_serial_runs():
     """Runs in four threads at once give the serial results: a thread never
     loads a seed into a generator that a live block of another one holds."""
@@ -885,7 +903,7 @@ def test_batch_cut_by_max_cycles_matches_oracle(name):
         # both outcomes occur, and no escape is counted past the cut
         assert 0 < res.n_censored < trials
         assert res.escape_cycles.max() <= cfg.max_cycles
-        traj = run_trial(replace(cfg, record_trajectory=True), sim._trial_seed(8, 0)).trajectory
+        traj = run_trial(cfg, sim._trial_seed(8, 0), record=True).trajectory
         cycle = got[0][0]
         assert traj.size == (cycle if cycle >= 0 else cfg.max_cycles) + 1
 
