@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -486,6 +487,22 @@ def test_confidence_not_reached_exits_3(tmp_path):
         },
     )
     assert rc == 3
+
+
+def test_sweep_past_the_cap_exits_3_without_propagating(tmp_path, capsys):
+    # width 1000 needs 1964307 transitions; stepping to the cap took seconds
+    start = time.perf_counter()
+    rc, _ = invoke(
+        tmp_path,
+        "sweep",
+        {"schema_version": 1, "widths_steps": [1000], "max_transitions": 1000000},
+    )
+    assert time.perf_counter() - start < 1.0
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: confidence 0.99 not reached within 1000000 "
+        "transitions (cdf = 0.892023)\n"
+    )
 
 
 def test_unknown_technique_exits_2(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
+from mesosettle import markov
 from mesosettle.markov import (
     DEFAULT_MAX_TRANSITIONS,
     AbsorbingChain,
@@ -295,8 +296,9 @@ def _assert_matches_per_step(chain, p0, target=None, max_n=DEFAULT_MAX_TRANSITIO
     return series
 
 
-# the chains and starts of the bench's analytic workload: its analyze jobs
-# and its sweep (isi1 from the centre, widths 2 to 300)
+# the chains and starts of the bench's analytic workload: its analyze jobs,
+# which propagate the series, and its sweep (isi1 from the centre, widths
+# 2 to 300), which takes the spectral search and is held to the series here
 BENCH_CHAINS = {
     **REFERENCE_CHAINS,
     **{
@@ -310,7 +312,9 @@ BENCH_CHAINS = {
 def test_blocked_series_matches_per_step_on_bench_chains(name):
     build, position = BENCH_CHAINS[name]
     chain = build()
-    _assert_matches_per_step(chain, _start_at(chain, position), 0.99)
+    p0 = _start_at(chain, position)
+    series = _assert_matches_per_step(chain, p0, 0.99)
+    assert transitions_for_confidence(chain, p0, 0.99) == series.n_transitions
 
 
 @pytest.mark.parametrize("start", ["centre", "edge"])
@@ -352,20 +356,136 @@ def test_deep_budget_matches_per_step(name, expected):
     assert transitions_for_confidence(chain, p0, 1 - 1e-9) == expected
 
 
-def test_deep_budget_matches_lazy_walk_spectrum():
-    # survival of the lazy walk from k: sum_j c_j lambda_j^n with
-    # lambda_j = 1/2 + cos(j pi / N) / 2; at width 200 the first n with
-    # cdf >= 1 - 1e-9 clears the target by 1.2e-14, less than the 2.9e-14
-    # the per-step propagation accumulates by then, which gives 339865
-    width, k, confidence = 200, 100, 1 - 1e-9
+def _lazy_walk_modes(width, k):
+    """Closed-form modes of the lazy walk from k: the survival is
+    sum_j c_j lambda_j^n with lambda_j = 1/2 + cos(j pi / N) / 2."""
     j = np.arange(1, width)
     lam = 0.5 + 0.5 * np.cos(j * np.pi / width)
     modes = np.sin(np.outer(j, j) * np.pi / width)  # [j - 1, state - 1]
-    c = 2.0 / width * modes[:, k - 1] * modes.sum(axis=1)
+    return lam, 2.0 / width * modes[:, k - 1] * modes.sum(axis=1)
+
+
+def _spy_on_series(monkeypatch):
+    """Record each call that transitions_for_confidence makes to the series."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["target_confidence"])
+        return absorption_series(*args, **kwargs)
+
+    monkeypatch.setattr(markov, "absorption_series", spy)
+    return calls
+
+
+def test_deep_budget_matches_lazy_walk_spectrum(monkeypatch):
+    # at width 200 the first n with cdf >= 1 - 1e-9 clears the target by
+    # 1.2e-14, less than the 2.9e-14 the per-step propagation accumulates
+    # by then, which gives 339865; inside the tie band, the spectral search
+    # leaves the answer to the blocked series
+    width, k, confidence = 200, 100, 1 - 1e-9
+    lam, c = _lazy_walk_modes(width, k)
     chain = build_isi1_chain(WindowSpec(width))
+    calls = _spy_on_series(monkeypatch)
     n = transitions_for_confidence(chain, point_mass(chain, k), confidence)
     assert n == 339866
+    assert calls == [confidence]
     assert 1.0 - np.sum(c * lam ** (n - 1)) < confidence <= 1.0 - np.sum(c * lam**n)
+
+
+def test_exact_tie_takes_the_series(monkeypatch):
+    # width 2 from 1 survives n transitions with probability 2^-n: S(1)
+    # equals 1 - 0.5 exactly
+    chain = build_isi1_chain(WindowSpec(2))
+    calls = _spy_on_series(monkeypatch)
+    assert transitions_for_confidence(chain, point_mass(chain, 1), 0.5) == 1
+    assert calls == [0.5]
+    assert transitions_for_confidence(chain, point_mass(chain, 1), 0.99) == 7
+    assert calls == [0.5]
+
+
+@pytest.mark.parametrize("width", range(2, 65))
+def test_spectral_search_matches_series_on_narrow_isi1(width, monkeypatch):
+    chain = build_isi1_chain(WindowSpec(width))
+    calls = _spy_on_series(monkeypatch)
+    for k in sorted({1, max(1, width // 4), width // 2, width - 1}):
+        p0 = point_mass(chain, k)
+        # the series does not depend on its target up to where it stops
+        cdf = absorption_series(chain, p0, target_confidence=1 - 1e-6).cdf
+        for confidence in (0.5, 0.99, 1 - 1e-6):
+            n = transitions_for_confidence(chain, p0, confidence)
+            assert n == int(np.argmax(cdf >= confidence)), (k, confidence)
+    # every case but the exact tie at width 2 is answered from the spectrum
+    assert calls == ([0.5] if width == 2 else [])
+
+
+def test_spectral_search_matches_lazy_walk_modes():
+    for width in range(65, 201):
+        lam, c = _lazy_walk_modes(width, width // 2)
+        chain = build_isi1_chain(WindowSpec(width))
+        n = transitions_for_confidence(chain, point_mass(chain, width // 2), 0.99)
+        assert np.sum(c * lam**n) <= 0.01 < np.sum(c * lam ** (n - 1)), width
+
+
+@pytest.mark.parametrize(
+    "name, n99",
+    [("gaussian-s20", 254), ("combined-5-40", 1760), ("biased-w40-10pct", 2246),
+     ("isi2-23-43-20", 4106)],
+)
+def test_chains_without_symmetric_q_keep_the_series(name, n99, monkeypatch):
+    # the spectral search takes only an exactly symmetric tridiagonal Q; a
+    # diagonal similarity of gaussian s20 gives n = 4950 where 254 is true
+    build, position = REFERENCE_CHAINS[name]
+    chain = build()
+    p0 = _start_at(chain, position)
+    confidences = [0.99, 1 - 1e-9]
+    want = [absorption_series(chain, p0, target_confidence=c).n_transitions for c in confidences]
+    calls = _spy_on_series(monkeypatch)
+    assert [transitions_for_confidence(chain, p0, c) for c in confidences] == want
+    assert want[0] == n99
+    assert calls == confidences
+
+
+BAD_SEARCHES = [
+    (lambda chain: (np.zeros(chain.n_states - 1), 0.99, 10), "wrong length"),
+    (lambda chain: (-point_mass(chain, 1), 0.99, 10), "nonnegative"),
+    (lambda chain: (0.5 * point_mass(chain, 1), 0.99, 10), "sum to 1"),
+    (lambda chain: (point_mass(chain, 1), 0.0, 10), "strictly in"),
+    (lambda chain: (point_mass(chain, 1), 1.0, 10), "strictly in"),
+    (lambda chain: (point_mass(chain, 1), 0.99, -1), "max_n"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(BAD_SEARCHES)))
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_isi1_chain(WindowSpec(6)), lambda: build_biased_chain(WindowSpec(6), 10)],
+    ids=["spectral", "series"],
+)
+def test_bad_search_arguments_raise_on_both_paths(build, case):
+    args, match = BAD_SEARCHES[case]
+    chain = build()
+    p0, confidence, max_n = args(chain)
+    with pytest.raises(ValueError, match=match) as want:
+        absorption_series(chain, p0, target_confidence=confidence, max_n=max_n)
+    with pytest.raises(ValueError) as got:
+        transitions_for_confidence(chain, p0, confidence, max_n=max_n)
+    assert str(got.value) == str(want.value)
+
+
+def test_cap_reached_from_the_spectrum(monkeypatch):
+    # width 40 from the centre first reaches 0.99 at n = 3142; one short of
+    # that, the search raises from the spectrum with the series' message
+    chain = build_isi1_chain(WindowSpec(40))
+    p0 = point_mass(chain, 20)
+    with pytest.raises(ConfidenceNotReached) as want:
+        absorption_series(chain, p0, target_confidence=0.99, max_n=3141)
+    calls = _spy_on_series(monkeypatch)
+    with pytest.raises(ConfidenceNotReached) as got:
+        transitions_for_confidence(chain, p0, 0.99, max_n=3141)
+    assert str(got.value) == str(want.value)
+    assert got.value.partial is None
+    assert transitions_for_confidence(chain, p0, 0.99, max_n=3142) == 3142
+    assert calls == []
 
 
 def test_wide_mismatch_chain_stays_sparse():
