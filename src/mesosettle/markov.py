@@ -2,12 +2,14 @@
 
 Every chain is stored as a CSR sparse array; the builders emit a few
 diagonals or (row, col, value) triplets, so no n x n dense array is
-formed but the eigenvectors of the spectral search below.  Absorption
-moments come from one sparse LU factorisation of (I - Q), reused for
-both moment solves.  The absorption cdf is
-propagated in blocks of sixteen transitions: one sparse matvec by
-(Q^16)^T per block, and one dense product with a precomputed table of
-exit probabilities for the block's sixteen cdf terms.
+formed but the eigenvectors of the spectral search below.  A chain
+is split once, when built, into its canonical form [[Q, R], [0, I]]
+(Kemeny & Snell 1960, ch. 3): ``transient``, ``q`` and ``r``.
+Absorption moments come from one sparse LU factorisation of (I - Q),
+reused for both moment solves.  The absorption cdf is propagated in
+blocks of sixteen transitions: one sparse matvec by (Q^16)^T per
+block, and one dense product with a precomputed table of exit
+probabilities for the block's sixteen cdf terms.
 
 ``transitions_for_confidence`` needs only the first n with cdf[n] >=
 c, and on a chain whose transient block Q is exactly symmetric and
@@ -34,11 +36,9 @@ from scipy.sparse.linalg import splu
 
 __all__ = [
     "AbsorbingChain",
-    "CanonicalForm",
     "AbsorptionStats",
     "AbsorptionSeries",
     "ConfidenceNotReached",
-    "build_canonical",
     "absorption_stats",
     "absorption_series",
     "transitions_for_confidence",
@@ -85,12 +85,21 @@ class AbsorbingChain:
         as a read-only ``scipy.sparse.csr_array`` without explicit zeros.
     absorbing : indices of absorbing states.
     labels : optional per-state annotation (clock position in tau units,
-        memory tag for extended-state chains).
+        memory tag for extended-state chains), one entry per state.
+
+    The canonical blocks are derived on construction and read-only:
+    ``transient`` holds the transient state indices ascending, ``q`` the
+    transient-to-transient block and ``r`` the transient-to-absorbing
+    block, rows and columns each in ascending state order.  A chain with
+    no transient state has empty blocks, and the solvers reject it.
     """
 
     transitions: csr_array
     absorbing: frozenset[int]
     labels: tuple | None = None
+    transient: np.ndarray = field(init=False, repr=False, compare=False)
+    q: csr_array = field(init=False, repr=False, compare=False)
+    r: csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.transitions
@@ -98,6 +107,8 @@ class AbsorbingChain:
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("transition matrix must be square")
         n = p.shape[0]
+        if self.labels is not None and len(self.labels) != n:
+            raise ValueError(f"{len(self.labels)} labels for {n} states")
         absorbing = frozenset(int(i) for i in self.absorbing)
         if not absorbing:
             raise ValueError("chain has no absorbing state")
@@ -105,6 +116,8 @@ class AbsorbingChain:
             raise ValueError("absorbing index out of range")
         p.sum_duplicates()
         rows, cols, vals = p.row, p.col, p.data
+        if not np.isfinite(vals).all():
+            raise ValueError("transition probabilities must be finite")
         sums = np.bincount(rows, weights=vals, minlength=n)
         deficits = np.abs(sums - 1.0)
         if np.any(deficits > ROW_FIX_TOL):
@@ -116,19 +129,31 @@ class AbsorbingChain:
         if np.any(vals < -ROW_SUM_TOL):
             raise ValueError("negative transition probability")
         a_idx = np.array(sorted(absorbing))
-        in_a = np.isin(rows, a_idx)
+        is_t = np.ones(n, dtype=bool)
+        is_t[a_idx] = False
+        in_a = ~is_t[rows]
         # row sums already hold, so an absorbing row is a unit row once
         # its off-diagonal mass is below tolerance
         leak = in_a & (rows != cols) & (np.abs(vals) > ROW_SUM_TOL)
         if leak.any():
             raise ValueError(f"absorbing state {rows[leak][0]} has outgoing mass")
         keep = ~in_a & (vals != 0.0)
-        rows, cols = np.r_[rows[keep], a_idx], np.r_[cols[keep], a_idx]
-        p = csr_array((np.r_[vals[keep], np.ones(a_idx.size)], (rows, cols)), shape=(n, n))
-        for a in (p.data, p.indices, p.indptr):
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        transient = np.flatnonzero(is_t)
+        m, k = transient.size, a_idx.size
+        p = csr_array((np.r_[vals, np.ones(k)], (np.r_[rows, a_idx], np.r_[cols, a_idx])), (n, n))
+        # each state's index within its block, transient or absorbing
+        block_index = np.empty(n, dtype=int)
+        block_index[transient], block_index[a_idx] = np.arange(m), np.arange(k)
+        i, j, to_t = block_index[rows], block_index[cols], is_t[cols]
+        q = csr_array((vals[to_t], (i[to_t], j[to_t])), shape=(m, m))
+        r = csr_array((vals[~to_t], (i[~to_t], j[~to_t])), shape=(m, k))
+        for a in (p.data, p.indices, p.indptr, q.data, q.indices, q.indptr,
+                  r.data, r.indices, r.indptr, transient):
             a.flags.writeable = False
-        object.__setattr__(self, "transitions", p)
-        object.__setattr__(self, "absorbing", absorbing)
+        for name, value in (("transitions", p), ("absorbing", absorbing),
+                            ("transient", transient), ("q", q), ("r", r)):
+            object.__setattr__(self, name, value)
         if not _absorbing_reachable(p, absorbing):
             raise ValueError("some transient state cannot reach absorption")
 
@@ -136,41 +161,12 @@ class AbsorbingChain:
     def n_states(self) -> int:
         return self.transitions.shape[0]
 
-    @property
-    def transient(self) -> np.ndarray:
-        """Transient state indices in original order."""
-        mask = np.ones(self.n_states, dtype=bool)
-        mask[list(self.absorbing)] = False
-        return np.flatnonzero(mask)
-
 
 def _absorbing_reachable(p: csr_array, absorbing: frozenset[int]) -> bool:
     # one multi-source search from the absorbing states over the reversed
     # support graph: a state is reached iff it has a path to absorption
     hops = dijkstra((p > 0.0).T, indices=sorted(absorbing), unweighted=True, min_only=True)
     return bool(np.isfinite(hops).all())
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Canonical block form [[Q, R], [0, I]] with index bookkeeping."""
-
-    q: csr_array
-    r: csr_array
-    transient_order: np.ndarray
-    absorbing_order: np.ndarray
-
-
-def build_canonical(chain: AbsorbingChain) -> CanonicalForm:
-    """Split the transition matrix into transient (Q) and exit (R) blocks."""
-    t_idx = chain.transient
-    a_idx = np.array(sorted(chain.absorbing), dtype=int)
-    if t_idx.size == 0:
-        raise ValueError("chain has no transient states")
-    rows = chain.transitions[t_idx]
-    return CanonicalForm(
-        q=rows[:, t_idx], r=rows[:, a_idx], transient_order=t_idx, absorbing_order=a_idx
-    )
 
 
 @dataclass(frozen=True)
@@ -210,11 +206,12 @@ def absorption_stats(chain: AbsorbingChain) -> AbsorptionStats:
     (2N - I) mean - mean^2 takes N mean from (I - Q) y = mean, without
     forming N.
     """
-    canon = build_canonical(chain)
-    m = canon.q.shape[0]
+    m = chain.q.shape[0]
+    if m == 0:
+        raise ValueError("chain has no transient states")
     eye = csr_array((np.ones(m), (np.arange(m), np.arange(m))), shape=(m, m))
     try:
-        lu = splu((eye - canon.q).tocsc())
+        lu = splu((eye - chain.q).tocsc())
     except RuntimeError as exc:  # pragma: no cover - reachability rules it out
         raise ValueError("(I - Q) is singular") from exc
     mean = lu.solve(np.ones(m))
@@ -222,9 +219,7 @@ def absorption_stats(chain: AbsorbingChain) -> AbsorptionStats:
     variance = 2.0 * y - mean - mean**2
     # clip parasitic negatives from cancellation on nearly-instant states
     variance = np.where(variance < 0.0, 0.0, variance)
-    return AbsorptionStats(
-        mean=mean, variance=variance, transient_order=canon.transient_order
-    )
+    return AbsorptionStats(mean=mean, variance=variance, transient_order=chain.transient)
 
 
 @dataclass(frozen=True)
@@ -233,7 +228,6 @@ class AbsorptionSeries:
 
     cdf: np.ndarray
     pmf: np.ndarray
-    initial_distribution: np.ndarray
 
     @property
     def n_transitions(self) -> int:
@@ -259,21 +253,19 @@ def absorption_series(
     mass the start puts on absorbing states.  Stops at the first n with
     cdf[n] >= ``target_confidence``, else after ``max_n`` transitions.
     """
-    p0 = _checked_start(chain, initial, target_confidence, max_n)
-    canon = build_canonical(chain)
-    x = p0[canon.transient_order]
+    x, absorbed = _checked_start(chain, initial, target_confidence, max_n)
     # exits[k] . x_n is the mass absorbed by transition n + k + 1
     exits = np.empty((_BLOCK, x.size))
-    exits[0] = canon.r.sum(axis=1)
+    exits[0] = chain.r.sum(axis=1)
     for k in range(1, _BLOCK):
-        exits[k] = canon.q @ exits[k - 1]
-    step = canon.q.T.tocsr()
+        exits[k] = chain.q @ exits[k - 1]
+    step = chain.q.T.tocsr()
     for _ in range(_BLOCK_SQUARINGS):
         step = step @ step
 
     blocks = []
     n_terms = 0
-    block = np.array([p0[canon.absorbing_order].sum()])
+    block = np.array([absorbed])
     while True:
         block = block[: max_n + 1 - n_terms]
         # cdf is nondecreasing: each block adds a cumulative sum of
@@ -281,11 +273,11 @@ def absorption_series(
         if target_confidence is not None and block[-1] >= target_confidence:
             hit = int(np.argmax(block >= target_confidence))
             blocks.append(block[: hit + 1])
-            return _series_from_cdf(blocks, p0)
+            return _series_from_cdf(blocks)
         blocks.append(block)
         n_terms += block.size
         if n_terms > max_n:
-            partial = _series_from_cdf(blocks, p0)
+            partial = _series_from_cdf(blocks)
             if target_confidence is None:
                 return partial
             raise _not_reached(target_confidence, max_n, partial.cdf[-1], partial)
@@ -295,17 +287,22 @@ def absorption_series(
 
 def _checked_start(
     chain: AbsorbingChain, initial: np.ndarray, target: float | None, max_n: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
+    """The start's transient part, in ``chain.transient`` order, and its absorbed mass."""
     p0 = np.asarray(initial, dtype=float)
     if p0.shape != (chain.n_states,):
         raise ValueError("initial distribution has wrong length")
+    if not np.isfinite(p0).all():
+        raise ValueError("initial distribution must be finite")
     if np.any(p0 < -ROW_SUM_TOL) or abs(p0.sum() - 1.0) > 1e-9:
         raise ValueError("initial distribution must be nonnegative and sum to 1")
     if target is not None and not 0.0 < target < 1.0:
         raise ValueError("target confidence must lie strictly in (0, 1)")
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    return p0
+    if chain.transient.size == 0:
+        raise ValueError("chain has no transient states")
+    return p0[chain.transient], p0[sorted(chain.absorbing)].sum()
 
 
 def _not_reached(
@@ -317,11 +314,11 @@ def _not_reached(
     )
 
 
-def _series_from_cdf(blocks: list[np.ndarray], p0: np.ndarray) -> AbsorptionSeries:
+def _series_from_cdf(blocks: list[np.ndarray]) -> AbsorptionSeries:
     arr = np.concatenate(blocks)
     pmf = np.diff(arr, prepend=0.0)
     pmf = np.where(pmf < 0.0, 0.0, pmf)  # guard 1e-17 rounding
-    return AbsorptionSeries(cdf=arr, pmf=pmf, initial_distribution=p0)
+    return AbsorptionSeries(cdf=arr, pmf=pmf)
 
 
 def transitions_for_confidence(
@@ -356,16 +353,14 @@ def transitions_for_confidence(
     this raises ``ConfidenceNotReached`` at once, its cdf taken from the
     spectrum and ``partial`` None.
     """
-    p0 = _checked_start(chain, initial, confidence, max_n)
-    canon = build_canonical(chain)
-    absorbed = p0[canon.absorbing_order].sum()
-    q = canon.q
+    x, absorbed = _checked_start(chain, initial, confidence, max_n)
+    q = chain.q
     if absorbed < confidence and q.shape[0] <= _SPECTRAL_MAX_STATES and _symmetric_tridiagonal(q):
-        n = _spectral_search(q, p0[canon.transient_order], absorbed, confidence, max_n)
+        n = _spectral_search(q, x, absorbed, confidence, max_n)
         if n is not None:
             return n
     return absorption_series(
-        chain, p0, target_confidence=confidence, max_n=max_n
+        chain, initial, target_confidence=confidence, max_n=max_n
     ).n_transitions
 
 

@@ -127,8 +127,8 @@ class ChannelModel:
                 raise ValueError("crossing jitter applies to discrete traces only")
             if self.sections < 1:
                 raise ValueError("ladder needs at least one section")
-            if self.r_per_section <= 0 or self.c_per_section_ui <= 0:
-                raise ValueError("R and C must be positive")
+            if not (0 < self.r_per_section < np.inf and 0 < self.c_per_section_ui < np.inf):
+                raise ValueError("R and C must be positive and finite")
             if self.samples_per_ui < 16:
                 raise ValueError("need at least 16 samples per UI")
         else:
@@ -190,8 +190,8 @@ class TrialConfig:
     _substeps: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.step_tau <= 0:
-            raise ValueError("step_tau must be positive")
+        if not 0 < self.step_tau < np.inf:
+            raise ValueError("step_tau must be positive and finite")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be positive")
         object.__setattr__(self, "_substeps", mismatch_substeps(self.mismatch_percent))

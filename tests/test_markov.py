@@ -14,7 +14,6 @@ from mesosettle.markov import (
     _absorbing_reachable,
     absorption_series,
     absorption_stats,
-    build_canonical,
     point_mass,
     transitions_for_confidence,
 )
@@ -43,12 +42,12 @@ def three_state():
 
 
 def test_canonical_decomposition():
-    canon = build_canonical(three_state())
-    assert canon.q.shape == (1, 1)
-    assert canon.q[0, 0] == 0.5
-    assert np.array_equal(canon.r.toarray(), [[0.25, 0.25]])
-    assert list(canon.transient_order) == [0]
-    assert sorted(canon.absorbing_order) == [1, 2]
+    chain = three_state()
+    assert chain.q.shape == (1, 1)
+    assert chain.q[0, 0] == 0.5
+    assert np.array_equal(chain.r.toarray(), [[0.25, 0.25]])
+    assert list(chain.transient) == [0]
+    assert sorted(chain.absorbing) == [1, 2]
 
 
 def test_geometric_mean_and_variance():
@@ -109,6 +108,22 @@ def test_structural_rejections():
     neg = np.array([[1.2, -0.2], [0.0, 1.0]])
     with pytest.raises(ValueError):
         AbsorbingChain(neg, frozenset({1}))
+    nan = np.array([
+        [np.nan, 0.5, 0.25, 0.25],
+        [0.25, 0.25, 0.25, 0.25],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
+    with pytest.raises(ValueError, match="must be finite"):
+        AbsorbingChain(nan, frozenset({2, 3}))
+
+
+def test_labels_need_one_entry_per_state():
+    p = three_state().transitions
+    AbsorbingChain(p, frozenset({1, 2}), labels=(0, 1, 2))
+    for labels in [(0,), (0, 1, 2, 3), ()]:
+        with pytest.raises(ValueError, match="labels for 3 states"):
+            AbsorbingChain(p, frozenset({1, 2}), labels=labels)
 
 
 def test_unreachable_absorbing_rejected():
@@ -125,8 +140,13 @@ def test_unreachable_absorbing_rejected():
 def test_all_absorbing_has_no_canonical_form():
     p = np.eye(2)
     chain = AbsorbingChain(p, frozenset({0, 1}))
-    with pytest.raises(ValueError):
-        build_canonical(chain)
+    assert chain.q.shape == (0, 0) and chain.r.shape == (0, 2)
+    with pytest.raises(ValueError, match="no transient states"):
+        absorption_stats(chain)
+    with pytest.raises(ValueError, match="no transient states"):
+        absorption_series(chain, point_mass(chain, 0))
+    with pytest.raises(ValueError, match="no transient states"):
+        transitions_for_confidence(chain, point_mass(chain, 0), 0.99)
 
 
 def test_series_initial_distribution_validation():
@@ -445,6 +465,12 @@ def test_chains_without_symmetric_q_keep_the_series(name, n99, monkeypatch):
     assert calls == confidences
 
 
+def _nan_start(chain):
+    p0 = point_mass(chain, 0)
+    p0[3] = np.nan
+    return p0
+
+
 BAD_SEARCHES = [
     (lambda chain: (np.zeros(chain.n_states - 1), 0.99, 10), "wrong length"),
     (lambda chain: (-point_mass(chain, 1), 0.99, 10), "nonnegative"),
@@ -452,6 +478,7 @@ BAD_SEARCHES = [
     (lambda chain: (point_mass(chain, 1), 0.0, 10), "strictly in"),
     (lambda chain: (point_mass(chain, 1), 1.0, 10), "strictly in"),
     (lambda chain: (point_mass(chain, 1), 0.99, -1), "max_n"),
+    (lambda chain: (_nan_start(chain), 0.99, 10), "finite"),
 ]
 
 
@@ -550,3 +577,39 @@ def test_reachability_search_from_the_second_absorbing_state(trap, reachable):
     p, absorbing = csr_array(p), frozenset({0, 3})
     assert _oracle_absorbing_reachable(p, absorbing) is reachable
     assert _absorbing_reachable(p, absorbing) is reachable
+
+
+def _sliced_blocks(chain):
+    """Q and R by CSR fancy indexing of P: the split the stored blocks
+    replaced, kept as their oracle."""
+    a_idx = np.array(sorted(chain.absorbing), dtype=int)
+    rows = chain.transitions[chain.transient]
+    return rows[:, chain.transient], rows[:, a_idx]
+
+
+def _assert_blocks_match_slicing(chain):
+    for got, want in zip((chain.q, chain.r), _sliced_blocks(chain)):
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert not a.flags.writeable
+    assert not chain.transient.flags.writeable
+
+
+@pytest.mark.parametrize("name", list(BENCH_CHAINS))
+def test_blocks_match_slicing_on_bench_chains(name):
+    build, _ = BENCH_CHAINS[name]
+    _assert_blocks_match_slicing(build())
+
+
+def test_blocks_match_slicing_on_random_chains():
+    rng = np.random.default_rng(2301)
+    checked = 0
+    while checked < 400:
+        n = int(rng.integers(2, 12))
+        absorbing = frozenset(rng.choice(n, size=int(rng.integers(1, 3)), replace=False).tolist())
+        p = _random_support_chain(rng, n, absorbing, rng.uniform(0.05, 0.5))
+        if len(absorbing) < n and _oracle_absorbing_reachable(p, absorbing):
+            _assert_blocks_match_slicing(AbsorbingChain(p, absorbing))
+            checked += 1

@@ -130,6 +130,9 @@ def test_rc_rejects_coarse_time_step():
         ChannelModel.rc(r=1.0, c=0.005, samples_per_ui=8)
     with pytest.raises(ValueError):
         propagate_rc(ChannelModel.discrete(isi1_trace(4)), np.ones(4))
+    for r, c in ((np.nan, 0.005), (1.0, np.nan), (np.inf, 0.005), (1.0, np.inf), (0.0, 0.005)):
+        with pytest.raises(ValueError, match="R and C must be positive and finite"):
+            ChannelModel.rc(r=r, c=c, samples_per_ui=64)
 
 
 def test_rc_rejects_pole_that_rounds_to_one():
@@ -490,6 +493,16 @@ def test_config_validation():
         isi1_config(10, max_cycles=0)
     with pytest.raises(ValueError):
         run_monte_carlo(isi1_config(10), 0, 1)
+    # an infinite step_tau would size an RC trial's window at 2 steps
+    for step_tau in (0.0, -0.001, np.inf, np.nan):
+        with pytest.raises(ValueError, match="step_tau must be positive and finite"):
+            isi1_config(10, step_tau=step_tau)
+        with pytest.raises(ValueError, match="step_tau must be positive and finite"):
+            TrialConfig(
+                channel=REFERENCE_CHANNELS["benign"],
+                source=BitSource.bernoulli(0.5),
+                step_tau=step_tau,
+            )
     # narrower bands sit inside a wider window without complaint
     TrialConfig(
         channel=ChannelModel.discrete(isi1_trace(10)),
