@@ -33,6 +33,14 @@ SCHEMA_VERSION = 1
 
 _MISSING = object()
 
+# fixed caps on sizes, checked before anything is allocated, so that the
+# exit code never depends on the machine's memory: trials per start
+# position (9 bytes of results each), eye waveform samples (8 bytes each,
+# about 2.4 times that at peak) and histogram bins
+_MAX_TRIALS = 10**7
+_MAX_EYE_SAMPLES = 2**26
+_MAX_HISTOGRAM_BINS = 10**6
+
 
 class ConfigError(ValueError):
     pass
@@ -49,30 +57,35 @@ def _number(v) -> float | None:
 _CSV_CHUNK_ROWS = 4096
 
 
-def _cells(col) -> list[str]:
-    """One column's cells, by the dtype that np.asarray gives the column.
+def _column(col) -> tuple[str, list]:
+    """One column's %-format spec and the values it formats, by the dtype
+    that np.asarray gives the column; a list of str passes as it is.
 
     Floats print as %.12g and NaN (a statistic over no escaped trial) as
     an empty cell; integers print in full, bools as 1 or 0, and text as it
     is.  A column that numpy can hold only as objects (None cells, or
     integers wider than 64 bits) goes a cell at a time by the same rules,
-    with None as an empty cell.
+    with None as an empty cell.  A column with empty cells gives its cells
+    as text, under %s.
     """
+    if isinstance(col, list) and set(map(type, col)) <= {str}:
+        return "%s", col
     a = np.asarray(col)
     if a.ndim != 1:
         raise TypeError(f"a column must be one-dimensional, got shape {a.shape}")
     kind = a.dtype.kind
-    if kind == "b":
-        return np.where(a, "1", "0").tolist()
-    if kind in "iu":
-        return list(map(str, a.tolist()))
+    if kind in "biu":
+        return "%d", a.tolist()
     if kind == "f":
+        nan = np.flatnonzero(np.isnan(a)).tolist()
+        if not nan:
+            return "%.12g", a.tolist()
         cells = list(map("%.12g".__mod__, a.tolist()))
-        for i in np.flatnonzero(np.isnan(a)).tolist():
+        for i in nan:
             cells[i] = ""
-        return cells
+        return "%s", cells
     if kind == "U":
-        return a.tolist()
+        return "%s", a.tolist()
     if kind != "O":
         raise TypeError(f"cannot write a column of {a.dtype}")
     cells = []
@@ -85,8 +98,9 @@ def _cells(col) -> list[str]:
             one = np.asarray([v])
             if one.dtype.kind == "O":
                 raise TypeError(f"cannot write a cell {v!r}")
-            cells.append(_cells(one)[0])
-    return cells
+            spec, (value,) = _column(one)
+            cells.append(spec % value)
+    return "%s", cells
 
 
 @contextmanager
@@ -105,7 +119,8 @@ def _atomic_open(path: str):
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:
-    """A CSV of one array or sequence per column, formatted column-wise."""
+    """A CSV of one array or sequence per column, formatted column-wise:
+    each chunk of rows is one %-format of its columns' values, interleaved."""
     lengths = {len(col) for col in columns}
     if len(columns) != len(header) or len(lengths) > 1:
         raise ValueError(
@@ -116,9 +131,12 @@ def _write_csv(path: str, header: list[str], columns) -> None:
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
-            hi = lo + _CSV_CHUNK_ROWS
-            cells = [_cells(col[lo:hi]) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            hi = min(lo + _CSV_CHUNK_ROWS, n_rows)
+            specs, values = zip(*(_column(col[lo:hi]) for col in columns))
+            cells = [None] * ((hi - lo) * len(columns))
+            for j, v in enumerate(values):
+                cells[j :: len(columns)] = v
+            fh.write((",".join(specs) + "\n") * (hi - lo) % tuple(cells))
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -156,11 +174,13 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _as_int(v, key: str, low: int | None = None) -> int:
+def _as_int(v, key: str, low: int | None = None, high: int | None = None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{key} must be an integer, got {v!r}")
     if low is not None and v < low:
         raise ConfigError(f"{key} must be at least {low}, got {v!r}")
+    if high is not None and v > high:
+        raise ConfigError(f"{key} must be at most {high}, got {v!r}")
     return v
 
 
@@ -173,9 +193,11 @@ def _as_float(v, key: str) -> float:
 
 # Typed readers: each pops `key` from `cfg` and checks its value.  Leaving
 # out a key with a None default, or setting it to null, reads as None.
-def _int(cfg: dict, key: str, default=_MISSING, low: int | None = None) -> int | None:
+def _int(
+    cfg: dict, key: str, default=_MISSING, low: int | None = None, high: int | None = None
+) -> int | None:
     v = _pop(cfg, key, default)
-    return None if v is None and default is None else _as_int(v, key, low)
+    return None if v is None and default is None else _as_int(v, key, low, high)
 
 
 def _float(cfg: dict, key: str, default=_MISSING) -> float | None:
@@ -205,9 +227,9 @@ def _max_transitions(cfg: dict) -> int:
 
 
 def _trials(cfg: dict, args, default: int) -> int:
-    """The config's trial count, overridden by --trials."""
-    trials = _int(cfg, "trials", default, 1)
-    return trials if args.trials is None else args.trials
+    """The config's trial count, overridden by --trials; each is capped."""
+    trials = _int(cfg, "trials", default, 1, _MAX_TRIALS)
+    return trials if args.trials is None else _as_int(args.trials, "--trials", 1, _MAX_TRIALS)
 
 
 def _require_seed(args) -> int:
@@ -436,12 +458,18 @@ def cmd_eye(args, outdir: str) -> dict:
     source = _source_from(cfg)
     bits_total = _int(cfg, "bits_total", 400)
     warmup_ui = _int(cfg, "warmup_ui", 30, 0)
-    bins = _int(cfg, "histogram_bins", 100, 1)
+    bins = _int(cfg, "histogram_bins", 100, 1, _MAX_HISTOGRAM_BINS)
     gap = _float(cfg, "cluster_gap_ui", 0.02)
     segments = _int(cfg, "overlay_segments", 40, 1)
     _done(cfg, "eye")
     if bits_total <= warmup_ui + 2:
         raise ConfigError("bits_total must exceed warmup_ui by at least 3")
+    samples = bits_total * channel.samples_per_ui
+    if samples > _MAX_EYE_SAMPLES:
+        raise ConfigError(
+            f"bits_total {bits_total} at samples_per_ui {channel.samples_per_ui} is {samples} "
+            f"waveform samples, past the cap of {_MAX_EYE_SAMPLES}"
+        )
 
     rng = np.random.default_rng(seed)
     bits = sim.generate_bits(source, bits_total, rng)
@@ -453,12 +481,13 @@ def cmd_eye(args, outdir: str) -> dict:
 
     spu = channel.samples_per_ui
     n_segments = overlay.shape[0]
+    spec, times = _column(np.arange(spu) / spu)
     _write_csv(
         os.path.join(outdir, "eye.csv"),
         ["segment", "time_ui", "value"],
         [
             np.repeat(np.arange(n_segments), spu),
-            _cells(np.arange(spu) / spu) * n_segments,
+            [spec % t for t in times] * n_segments,
             overlay.ravel(),
         ],
     )

@@ -75,7 +75,9 @@ class ConfidenceNotReached(RuntimeError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity: the generated methods would compare
+# sparse matrices and arrays, which have no truth value and no hash
+@dataclass(frozen=True, eq=False)
 class AbsorbingChain:
     """A finite Markov chain with at least one absorbing state.
 
@@ -97,9 +99,9 @@ class AbsorbingChain:
     transitions: csr_array
     absorbing: frozenset[int]
     labels: tuple | None = None
-    transient: np.ndarray = field(init=False, repr=False, compare=False)
-    q: csr_array = field(init=False, repr=False, compare=False)
-    r: csr_array = field(init=False, repr=False, compare=False)
+    transient: np.ndarray = field(init=False, repr=False)
+    q: csr_array = field(init=False, repr=False)
+    r: csr_array = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.transitions

@@ -11,7 +11,14 @@ other trial (jitter, interior ISI-2 crossings, RC lines) is a
 crossing-stream producer feeding ``_walk``, which moves the clock one
 crossing at a time because each move depends on the position; a
 discrete trace's crossings are jittered by
-``ChannelModel.discrete(trace, sigma_steps)``.  ``run_monte_carlo`` sends
+``ChannelModel.discrete(trace, sigma_steps)``.  ``_walk`` asks its
+producer for 1024 cycles first, then four times as many each chunk up to
+65536.  An RC line starts at 16: its trials mostly escape within a few
+cycles, and each UI asked for is a UI synthesized.  A discrete trace
+keeps 1024, because a jittered trace draws each chunk's normals right
+after that chunk's bits, so its chunk schedule fixes its random stream.
+The ladder's modal system is built once per ``_walks`` call, and each RC
+trial starts its own copy at rest.  ``run_monte_carlo`` sends
 blocks of ``_BLOCK_TRIALS`` trials through ``_walks``, and
 ``run_trial(config, seed, record=False)`` is a batch of one.
 Trial k of a run always draws the stream of its own
@@ -28,7 +35,9 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from copy import copy
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -55,8 +64,10 @@ __all__ = [
 # minimum run lengths: one for '1', two for '0'
 TRAINING_PATTERN: tuple[int, ...] = (0, 0, 1, 0, 0, 1, 1, 1)
 
-# cycles per chunk of one walk: the first, and the cap as it grows fourfold
+# cycles per chunk of one walk: the first (an RC trial's is short, see
+# _walk), and the cap as it grows fourfold
 _CHUNK0 = 1024
+_RC_CHUNK0 = 16
 _CHUNK_MAX = 65536
 # trials seeded together (and edge walks stepped together), and the
 # (trial, cycle) cells of one edge-walk round
@@ -355,8 +366,9 @@ def _windows(seq: np.ndarray, ctx: int) -> np.ndarray:
 
 
 def _trace_events(config: TrialConfig, rng: np.random.Generator):
-    """Crossing producer of a discrete trace, with start and width in steps:
-    codes read off one trial's bit stream, jittered by sigma_steps if set."""
+    """Crossing producer of a discrete trace, with start and width in steps
+    and the first chunk's cycles: codes read off one trial's bit stream,
+    jittered by sigma_steps if set."""
     trace = config.channel.trace
     s_r = config._substeps[1]
     cross = np.asarray(trace.crossing_positions) * s_r
@@ -376,7 +388,7 @@ def _trace_events(config: TrialConfig, rng: np.random.Generator):
             c = c + sigma * rng.standard_normal(t.size)
         return t, c
 
-    return events, config.initial, config.window.width_steps
+    return events, config.initial, config.window.width_steps, _CHUNK0
 
 
 def _trajectory(pieces, s_r: int, w: int, side: int) -> np.ndarray:
@@ -388,7 +400,7 @@ def _trajectory(pieces, s_r: int, w: int, side: int) -> np.ndarray:
     return trajectory
 
 
-def _walk(config: TrialConfig, events, start: int, w: int, rng, record: bool):
+def _walk(config: TrialConfig, events, start: int, w: int, chunk: int, rng, record: bool):
     """The phase-detector walk over a crossing stream, one crossing at a time.
 
     events(n) gives the crossings of the next n cycles as cycle indices t
@@ -397,12 +409,17 @@ def _walk(config: TrialConfig, events, start: int, w: int, rng, record: bool):
     one right of it s_l sub-steps left, and a fair coin decides a tie.
     The walk starts start steps into a window of w whose edges absorb, and
     returns one row of _edge_walks.  Only walks whose moves depend on the
-    position come here: jitter, interior crossings and RC lines.
+    position come here: jitter, interior crossings and RC lines.  The
+    first chunk asks for chunk cycles, as the producer says: _RC_CHUNK0
+    for an RC line, whose trials mostly escape within a few cycles and pay
+    for every UI synthesized, and _CHUNK0 for a discrete trace, whose
+    jittered streams draw each chunk's normals after its bits.  Chunks
+    then grow fourfold up to _CHUNK_MAX.
     """
     s_l, s_r = config._substeps
     g, pos = w * s_r, start * s_r
     traj = [np.array([pos], dtype=float)] if record else None
-    base, cycle, side, chunk = 0, -1, 0, _CHUNK0
+    base, cycle, side = 0, -1, 0
     while base < config.max_cycles and not side:
         n = min(chunk, config.max_cycles - base)
         t, c = events(n)
@@ -531,7 +548,11 @@ def _walks(config: TrialConfig, rngs, record: bool = False):
     crossing producer through _walk."""
     if _is_edge_walk(config):
         return _edge_walks(config, rngs, record)
-    produce = _rc_line_events if config.channel.kind == "rc_line" else _trace_events
+    if config.channel.kind == "rc_line":
+        # one modal system for the block; each trial starts it at rest
+        produce = partial(_rc_line_events, line=_RcLine(config.channel))
+    else:
+        produce = _trace_events
     cycles, sides, trajs = zip(*(_walk(config, *produce(config, r), r, record) for r in rngs))
     return np.array(cycles, dtype=np.int64), np.array(sides, dtype=np.int8), trajs[-1]
 
@@ -549,14 +570,15 @@ def run_trial(config: TrialConfig, seed, record: bool = False) -> TrialResult:
 _RC_CAL_UI = 288
 
 
-def _rc_line_events(config: TrialConfig, rng: np.random.Generator):
+def _rc_line_events(config: TrialConfig, rng: np.random.Generator, line: _RcLine):
     """Crossing producer of a physical line: crossings are measured off the waveform.
 
-    A bernoulli calibration burst locates the susceptibility band; the
-    payload then runs through the same line state so the line never
-    resets.  Window width in steps comes from the measured band width.
+    The trial drives a copy of line started at rest.  A bernoulli
+    calibration burst locates the susceptibility band; the payload then
+    runs through the same line state so the line never resets.  Window
+    width in steps comes from the measured band width.
     """
-    line = _RcLine(config.channel)
+    line = line.at_rest()
     hist = _fold_crossings(line.crossings(rng.random(_RC_CAL_UI) < 0.5))
     win_ui = hist.window_ui
 
@@ -568,7 +590,7 @@ def _rc_line_events(config: TrialConfig, rng: np.random.Generator):
         )
     scale = config._substeps[1] / config.step_tau
     events = _rc_events(line, _BitStreams(config.source, [rng]), hist.band_start_ui, win_ui, scale)
-    return events, init, w
+    return events, init, w, _RC_CHUNK0
 
 
 def _rc_events(line: _RcLine, bits: _BitStreams, band: float, win_ui: float, scale: float):
@@ -813,6 +835,12 @@ class _RcLine:
         # (spu, modes): each mode's decay to sample j, weighted by its output tap
         self.decay = mu ** np.arange(1, self.spu + 1)[:, None] * self.wout
         self.state = np.zeros(mu.size)
+
+    def at_rest(self) -> "_RcLine":
+        """A line sharing this one's modal system, with its state at rest."""
+        line = copy(self)
+        line.state = np.zeros_like(self.state)
+        return line
 
     def _step(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Input per UI and each mode's deviation d from its DC level at the

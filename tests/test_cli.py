@@ -378,6 +378,99 @@ def test_csv_writer_failure_keeps_the_earlier_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
+def _zip_join_cells(col) -> list[str]:
+    """The cells of one column as the zip/join writer gave them."""
+    a = np.asarray(col)
+    if a.ndim != 1:
+        raise TypeError(f"a column must be one-dimensional, got shape {a.shape}")
+    kind = a.dtype.kind
+    if kind == "b":
+        return np.where(a, "1", "0").tolist()
+    if kind in "iu":
+        return list(map(str, a.tolist()))
+    if kind == "f":
+        cells = list(map("%.12g".__mod__, a.tolist()))
+        for i in np.flatnonzero(np.isnan(a)).tolist():
+            cells[i] = ""
+        return cells
+    if kind == "U":
+        return a.tolist()
+    if kind != "O":
+        raise TypeError(f"cannot write a column of {a.dtype}")
+    cells = []
+    for v in a.tolist():
+        if v is None:
+            cells.append("")
+        elif type(v) is int:
+            cells.append(str(v))
+        else:
+            one = np.asarray([v])
+            if one.dtype.kind == "O":
+                raise TypeError(f"cannot write a cell {v!r}")
+            cells.append(_zip_join_cells(one)[0])
+    return cells
+
+
+def zip_join_text(header, columns) -> str:
+    """The bytes of the writer that formatted each cell, regrouped the cells
+    into rows with zip and joined each row, one chunk of rows at a time."""
+    n = len(columns[0]) if columns else 0
+    text = ",".join(header) + "\n"
+    for lo in range(0, n, cli._CSV_CHUNK_ROWS):
+        cells = [_zip_join_cells(col[lo : lo + cli._CSV_CHUNK_ROWS]) for col in columns]
+        text += "\n".join(map(",".join, zip(*cells))) + "\n"
+    return text
+
+
+EDGE_FLOATS = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2.2e-308,
+               1.7976931348623157e308, 1e-300, 1e16, 123456789012.5]
+FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+INT64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1, 0, -1])
+UINT64 = st.integers(0, 2**64 - 1) | st.sampled_from([2**64 - 1, 2**63, 0])
+# numpy's str dtype drops trailing NULs, which a list of str keeps
+TEXT = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=6)
+OBJECT_CELLS = (
+    st.none() | st.integers(-(2**80), 2**80) | st.sampled_from([2**64, -(2**70)])
+    | FLOATS | st.booleans()
+)
+WRITER_KINDS = {
+    "float64": (FLOATS, lambda v: np.array(v, dtype=np.float64)),
+    "float32": (st.floats(width=32), lambda v: np.array(v, dtype=np.float32)),
+    "float-list": (FLOATS, list),
+    "int64": (INT64, lambda v: np.array(v, dtype=np.int64)),
+    "uint64": (UINT64, lambda v: np.array(v, dtype=np.uint64)),
+    "int-list": (INT64, list),
+    "bool": (st.booleans(), np.array),
+    "bool-list": (st.booleans(), list),
+    "str-list": (TEXT, list),
+    "object": (OBJECT_CELLS, list),
+}
+CHUNK = cli._CSV_CHUNK_ROWS
+
+
+@st.composite
+def writer_tables(draw):
+    """Columns of every kind, each a drawn pattern repeated to a length on
+    either side of one or two chunks of rows."""
+    n = draw(st.sampled_from([0, 1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5]))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(WRITER_KINDS)), min_size=1, max_size=4)):
+        cells, build = WRITER_KINDS[kind]
+        pattern = draw(st.lists(cells, min_size=1, max_size=9))
+        columns.append(build((pattern * (n // len(pattern) + 1))[:n]))
+    return columns
+
+
+@given(writer_tables())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_csv_writer_matches_the_zip_join_writer(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        cli._write_csv(str(path), header, columns)
+        assert path.read_bytes() == zip_join_text(header, columns).encode()
+
+
 # ---------------------------------------------------------- pinned bytes
 
 CLI_OUTPUT_TABLE = Path(__file__).with_name("cli_output_reference.json")
@@ -527,7 +620,16 @@ HUGE = 10**15
 def test_huge_trial_count_exits_2(tmp_path, capsys):
     rc, _ = invoke(tmp_path, "simulate", simulate_cfg(), "--seed", "1", "--trials", str(HUGE))
     assert rc == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--trials" in err
+
+
+def test_huge_training_trial_count_exits_2(tmp_path, capsys):
+    cfg = {"schema_version": 1, "technique": "training", "width_steps": 12}
+    rc, _ = invoke(tmp_path, "compare", cfg, "--seed", "1", "--trials", str(HUGE))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--trials" in err
 
 
 def test_huge_analyze_window_exits_2(tmp_path, capsys):
@@ -559,6 +661,14 @@ KEYED_ERRORS = [
     # the ladder's poles round to 1, which would divide by zero
     ("eye", {"schema_version": 1, "c_per_section_ui": 2**70, "samples_per_ui": 16},
      "c_per_section_ui"),
+    # sizes past their documented caps, refused before any allocation
+    ("simulate", simulate_cfg(trials=2**70), "trials"),
+    ("simulate", simulate_cfg(trials=10**14), "trials"),
+    ("compare", {**TRAINING, "trials": 2**70}, "trials"),
+    ("eye", {**EYE, "bits_total": 2**70}, "bits_total"),
+    ("eye", {"schema_version": 1, "c_per_section_ui": 0.02, "samples_per_ui": 2**70,
+             "bits_total": 60}, "samples_per_ui"),
+    ("eye", {**EYE, "histogram_bins": 2**70}, "histogram_bins"),
 ]
 
 
@@ -663,6 +773,12 @@ KEYED_ERRORS = [
         "simulate-pattern-bools",
         "eye-pattern-floats",
         "ladder-pole-rounds-to-1",
+        "simulate-trials-past-int64",
+        "simulate-trials-past-cap",
+        "training-trials-past-int64",
+        "eye-bits-past-cap",
+        "eye-samples-per-ui-past-cap",
+        "eye-bins-past-cap",
     ],
 )
 def test_bad_config_shape_exits_2(tmp_path, capsys, command, cfg):

@@ -126,6 +126,14 @@ def test_labels_need_one_entry_per_state():
             AbsorbingChain(p, frozenset({1, 2}), labels=labels)
 
 
+def test_chains_compare_and_hash_by_identity():
+    # the generated methods would compare sparse blocks and raise
+    a, b = build_isi1_chain(WindowSpec(4)), build_isi1_chain(WindowSpec(4))
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
 def test_unreachable_absorbing_rejected():
     # state 1 loops on itself and can never reach the absorbing state
     p = np.array([

@@ -597,6 +597,51 @@ def test_rc_trials_escape_both_sides():
     assert 0.0 < mc.exit_right_fraction < 1.0
 
 
+def test_rc_trial_synthesizes_only_what_it_reads(monkeypatch):
+    """A trial that escapes within 16 cycles synthesizes its 288-UI
+    calibration burst and one 16-UI chunk, not the 1024 cycles a discrete
+    trace asks for first; a block of trials builds one ladder."""
+    uis, systems = [], []
+    step, rc_system = sim._RcLine._step, sim._rc_system
+
+    def spy_step(line, bits):
+        uis.append(len(bits))
+        return step(line, bits)
+
+    def spy_system(channel):
+        systems.append(channel)
+        return rc_system(channel)
+
+    monkeypatch.setattr(sim._RcLine, "_step", spy_step)
+    monkeypatch.setattr(sim, "_rc_system", spy_system)
+    cfg = replace(rc_trial_config(), channel=REFERENCE_CHANNELS["benign"], step_tau=0.02)
+    res = run_trial(cfg, 1)
+    assert res.escaped and res.escape_cycle <= 16
+    assert sum(uis) <= 288 + 16
+    assert len(systems) == 1
+    systems.clear()
+    run_monte_carlo(cfg, 3, 1)
+    assert len(systems) == 1
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CHANNELS))
+def test_rc_crossings_do_not_depend_on_the_chunk_schedule(name):
+    # the ladder state carries across chunks through lfilter's zi, so only
+    # rounding may move a crossing
+    chan = REFERENCE_CHANNELS[name]
+    bits = np.random.default_rng(8).integers(0, 2, 2048)
+    whole = sim._RcLine(chan).crossings(bits)
+    line, parts, base, chunk = sim._RcLine(chan), [], 0, sim._RC_CHUNK0
+    while base < bits.size:
+        n = min(chunk, bits.size - base)
+        parts.append(base + line.crossings(bits[base : base + n]))
+        base, chunk = base + n, min(chunk * 4, sim._CHUNK_MAX)
+    got = np.concatenate(parts)
+    assert len(parts) == 5  # 16, 64, 256, 1024 and the last 688
+    assert got.size == whole.size
+    assert np.abs(got - whole).max() <= 1e-12
+
+
 def test_rc_config_rules():
     ch = ChannelModel.rc(r=1.0, c=0.02, samples_per_ui=256, sections=8)
     src = BitSource.bernoulli(0.5)
