@@ -36,10 +36,13 @@ _MISSING = object()
 # fixed caps on sizes, checked before anything is allocated, so that the
 # exit code never depends on the machine's memory: trials per start
 # position (9 bytes of results each), eye waveform samples (8 bytes each,
-# about 2.4 times that at peak) and histogram bins
+# about 2.4 times that at peak), histogram bins and ladder sections (the
+# ladder's n x n section matrix goes through eigh, which takes about 0.2 s
+# at 1000 sections and 1.2 s at 2000 on a shared 2-core machine)
 _MAX_TRIALS = 10**7
 _MAX_EYE_SAMPLES = 2**26
 _MAX_HISTOGRAM_BINS = 10**6
+_MAX_SECTIONS = 1000
 
 
 class ConfigError(ValueError):
@@ -447,7 +450,7 @@ def _channel_from(cfg: dict) -> sim.ChannelModel:
         r=_float(cfg, "r_per_section", 1.0),
         c=_float(cfg, "c_per_section_ui"),
         samples_per_ui=_int(cfg, "samples_per_ui"),
-        sections=_int(cfg, "sections", 20),
+        sections=_int(cfg, "sections", 20, None, _MAX_SECTIONS),
     )
 
 

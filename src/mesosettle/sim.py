@@ -1,22 +1,24 @@
 """Behavioral Monte Carlo of the retiming loop plus waveform utilities.
 
 Every trial runs through one dispatcher, ``_walks``, one generator per
-trial.  An edge walk -- a clean discrete trace whose every crossing sits
-on a window edge, with or without mismatch or the coarse-acquisition
-latch, fed by any bit source -- draws nothing but bits, and each cycle's
-move follows from its bit window alone, so the walk is a prefix sum of
-per-cycle moves: ``_edge_walks`` steps a batch of them together, each
-round holding at most ``_ROUND_ELEMENTS`` (trial, cycle) cells.  Every
-other trial (jitter, interior ISI-2 crossings, RC lines) is a
-crossing-stream producer feeding ``_walk``, which moves the clock one
-crossing at a time because each move depends on the position; a
-discrete trace's crossings are jittered by
-``ChannelModel.discrete(trace, sigma_steps)``.  ``_walk`` asks its
-producer for 1024 cycles first, then four times as many each chunk up to
-65536.  An RC line starts at 16: its trials mostly escape within a few
-cycles, and each UI asked for is a UI synthesized.  A discrete trace
-keeps 1024, because a jittered trace draws each chunk's normals right
-after that chunk's bits, so its chunk schedule fixes its random stream.
+trial.  An edge walk -- a discrete trace whose every crossing sits on a
+window edge, clean or Gaussian-jittered, with or without mismatch or the
+coarse-acquisition latch, fed by any bit source -- moves by its bit
+windows alone wherever no jittered crossing can reach the clock.
+``_edge_walks`` steps a batch of them together, eight cycles per table
+lookup: each byte of packed bits, with the bits before it, picks a row of
+``_GroupTables``, and a round's walk is a prefix sum over its bytes (Four
+Russians tables, Arlazarov et al. 1970, under a scan, Blelloch 1990).
+Only the group holding the escape, and a jittered group where a crossing
+could reach the clock, run a cycle at a time.  Every other trial (interior
+ISI-2 or collar crossings, RC lines) is a crossing-stream producer feeding
+``_walk``, which moves the clock one crossing at a time because each move
+depends on the position.  ``_walk`` asks its producer for 1024 cycles
+first, then four times as many each chunk up to 65536.  An RC line
+starts at 16: its trials mostly escape within a few cycles, and each UI
+asked for is a UI synthesized.  A jittered trace keeps 1024 in either
+kernel, because it draws each chunk's normals right after that chunk's
+bits, so its chunk schedule fixes its random stream.
 The ladder's modal system is built once per ``_walks`` call, and each RC
 trial starts its own copy at rest.  ``run_monte_carlo`` sends
 blocks of ``_BLOCK_TRIALS`` trials through ``_walks``, and
@@ -37,7 +39,7 @@ import threading
 from contextlib import contextmanager
 from copy import copy
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -69,10 +71,16 @@ TRAINING_PATTERN: tuple[int, ...] = (0, 0, 1, 0, 0, 1, 1, 1)
 _CHUNK0 = 1024
 _RC_CHUNK0 = 16
 _CHUNK_MAX = 65536
-# trials seeded together (and edge walks stepped together), and the
-# (trial, cycle) cells of one edge-walk round
+# bits a clean edge walk draws ahead: the first row, and the cap as it
+# grows fourfold
+_ROW0 = 32
+_ROW_MAX = 4096
+# trials seeded together (and edge walks stepped together), the (trial,
+# cycle) cells of one edge-walk round, and the multiple of them in a round
+# of a clean walk's fine phase
 _BLOCK_TRIALS = 512
 _ROUND_ELEMENTS = 1 << 15
+_CLEAN_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -324,10 +332,15 @@ def generate_bits(source: BitSource, n: int, rng, phase=0) -> np.ndarray:
         return pat[(np.asarray(phase)[..., None] + np.arange(n)) % pat.size]
     if isinstance(rng, np.random.Generator):
         return (rng.random(n) < source.p).astype(np.int8)
-    u = np.empty((len(rng), n))
-    for r, row in zip(rng, u):
+    return (_uniforms(rng, n) < source.p).view(np.int8)
+
+
+def _uniforms(rngs, n: int) -> np.ndarray:
+    """(len(rngs), n) uniforms, row k drawn by one random call of rngs[k]."""
+    u = np.empty((len(rngs), n))
+    for r, row in zip(rngs, u):
         r.random(out=row)
-    return (u < source.p).view(np.int8)
+    return u
 
 
 class _BitStreams:
@@ -336,7 +349,8 @@ class _BitStreams:
     Each trial's first draw is its pattern phase, which decorrelates trials
     of a periodic source; other sources start at 0 and draw nothing.
     take(n) gives each live trial's next n bits as a row of a (trials, n)
-    block, and keep(live) retires the trials that the mask live leaves out.
+    block, and packed(n, ctx, coin) gives them packed eight to a byte.
+    keep(live) retires the trials that the mask live leaves out.
     """
 
     def __init__(self, source: BitSource, rngs):
@@ -349,8 +363,39 @@ class _BitStreams:
         self.phase += n
         return bits
 
+    def packed(self, n: int, ctx: int = 0, coin: bool = False):
+        """Each live trial's next ctx bits read as a binary number, oldest
+        bit highest; then, if coin, a fair coin (True for heads); then n
+        bits packed along its row of a (trials, ceil(n / 8)) uint8 block,
+        first bit highest.  A bernoulli trial draws them all in one random
+        call.  Trials are drawn a slice at a time, so that no float64 block
+        holds more than _ROUND_ELEMENTS cells or one row.
+        """
+        trials, lead = len(self.rngs), ctx + coin
+        prev = np.zeros(trials, dtype=np.intp)
+        heads = np.zeros(trials, dtype=bool)
+        out = np.empty((trials, -(-n // 8)), dtype=np.uint8)
+        step = max(1, _ROUND_ELEMENTS // (lead + n))
+        for lo in range(0, trials, step):
+            part = slice(lo, lo + step)
+            rngs = self.rngs[part]
+            if coin and self.source.kind == "bernoulli":
+                # the coin's uniform lies between the ctx bits and the payload
+                u = _uniforms(rngs, lead + n)
+                heads[part] = u[:, ctx] < 0.5
+                bits = u < self.source.p
+            else:
+                if coin:
+                    heads[part] = [r.random() < 0.5 for r in rngs]
+                bits = generate_bits(self.source, ctx + n, rngs, self.phase[part])
+            for j in range(ctx):
+                prev[part] = 2 * prev[part] + bits[:, j]
+            out[part] = np.packbits(bits[:, bits.shape[1] - n :], axis=1)
+        self.phase += ctx + n
+        return prev, heads, out
+
     def keep(self, live: np.ndarray) -> None:
-        self.rngs = [r for r, keep in zip(self.rngs, live) if keep]
+        self.rngs = [r for r, keep in zip(self.rngs, live.tolist()) if keep]
         self.phase = self.phase[live]
 
 
@@ -409,12 +454,13 @@ def _walk(config: TrialConfig, events, start: int, w: int, chunk: int, rng, reco
     one right of it s_l sub-steps left, and a fair coin decides a tie.
     The walk starts start steps into a window of w whose edges absorb, and
     returns one row of _edge_walks.  Only walks whose moves depend on the
-    position come here: jitter, interior crossings and RC lines.  The
-    first chunk asks for chunk cycles, as the producer says: _RC_CHUNK0
-    for an RC line, whose trials mostly escape within a few cycles and pay
-    for every UI synthesized, and _CHUNK0 for a discrete trace, whose
-    jittered streams draw each chunk's normals after its bits.  Chunks
-    then grow fourfold up to _CHUNK_MAX.
+    position everywhere come here: traces with interior crossings (ISI-2,
+    a collar), jittered or not, and RC lines.  The first chunk asks for
+    chunk cycles, as the producer says: _RC_CHUNK0 for an RC line, whose
+    trials mostly escape within a few cycles and pay for every UI
+    synthesized, and _CHUNK0 for a discrete trace, whose jittered streams
+    draw each chunk's normals after its bits.  Chunks then grow fourfold
+    up to _CHUNK_MAX.
     """
     s_l, s_r = config._substeps
     g, pos = w * s_r, start * s_r
@@ -450,34 +496,208 @@ def _walk(config: TrialConfig, events, start: int, w: int, chunk: int, rng, reco
     return cycle, side, _trajectory(traj, s_r, w, side) if record else None
 
 
-def _is_edge_walk(config: TrialConfig) -> bool:
+def _is_edge_walk(config: TrialConfig, jittered: bool = False) -> bool:
     """Whether config's trials are edge walks: a degenerate window, or a
     clean discrete trace whose every crossing sits on a window edge, so
-    that each cycle's move follows from its bit window alone."""
+    that each cycle's move follows from its bit window alone.  With
+    jittered, a Gaussian-jittered trace on the edges counts too."""
     if config.channel.kind == "rc_line":
         return False
     w = config.window.width_steps
     return w == 0 or (
-        config.channel.sigma_steps is None
+        (jittered or config.channel.sigma_steps is None)
         and set(config.channel.trace.crossing_positions) <= {0, w}
     )
 
 
+class _GroupTables:
+    """What each group of eight cycles does to an edge walk, by table row.
+
+    Row i is a group whose bits read i in binary, oldest bit highest: the
+    ctx bits before the group, then its byte of packed bits, so cycle j
+    reads the window (i >> (7 - j)) & (2**(ctx + 1) - 1).  Per row and
+    cycle: code, the crossing index or -1; turn, +1 for a crossing on the
+    left edge (the clock moves right), -1 on the right edge, 0 for none;
+    prefix, the position after the cycle less the group's start, in
+    sub-steps, with its running minimum low and maximum high.  Per row:
+    net, the move of the whole group; lo and hi, its extremes; and reach_lo
+    and reach_hi, the extremes of the clock before each cycle.  A prefix
+    saturates at +-g, which escapes from every start in the window.
+    crossed counts the crossings up to each cycle, and span bounds |prefix|.
+    """
+
+    def __init__(self, codes: bytes, positions: tuple, s_l: int, s_r: int, g: int):
+        codes = np.frombuffer(codes, dtype=np.int8)
+        self.ctx = codes.size.bit_length() - 2
+        i = np.arange(256 << self.ctx)
+        self.code = codes[(i[:, None] >> (7 - np.arange(8))) & ((2 << self.ctx) - 1)]
+        # a crossing on the left edge lies left of every interior clock
+        left = np.asarray(positions)[self.code] <= 0
+        self.turn = np.where(self.code < 0, 0, np.where(left, 1, -1))
+        move = np.where(self.turn > 0, min(s_r, g), np.where(self.turn < 0, -min(s_l, g), 0))
+        self.prefix = np.empty_like(move)
+        p = np.zeros(i.size, dtype=np.int64)
+        for j, m in enumerate(move.T):
+            # both sides of each where are computed, and the one that is not
+            # picked may wrap around: numpy's integer arrays wrap silently
+            p = np.where(m >= 0, np.where(p >= g - m, g, p + m), np.where(p <= -g - m, -g, p + m))
+            self.prefix[:, j] = p
+        self.low = np.minimum.accumulate(self.prefix, axis=1)
+        self.high = np.maximum.accumulate(self.prefix, axis=1)
+        self.net = self.prefix[:, 7].copy()
+        self.lo, self.hi = self.low[:, 7].copy(), self.high[:, 7].copy()
+        self.reach_lo = np.minimum(self.low[:, 6], 0)
+        self.reach_hi = np.maximum(self.high[:, 6], 0)
+        self.crossed = np.cumsum(self.code >= 0, axis=1)
+        self.span = int(max(-self.lo.min(), self.hi.max()))
+
+    def index(self, prev: np.ndarray, byts: np.ndarray) -> np.ndarray:
+        """(trials, groups) table rows of each trial's bytes, prev holding
+        the ctx bits before its first byte."""
+        b = byts.astype(np.intp)
+        before = np.concatenate([prev[:, None], b[:, :-1] & ((1 << self.ctx) - 1)], axis=1)
+        return (before << 8) | b
+
+    def after(self, last: np.ndarray, j: int) -> np.ndarray:
+        """The ctx bits up to cycle j of the groups in rows last."""
+        return (last >> (7 - j)) & ((1 << self.ctx) - 1)
+
+    def crossings(self, idx: np.ndarray, n: int) -> np.ndarray:
+        """Crossings per group of rows idx, over the first n of their cycles."""
+        count = self.crossed[idx, 7]
+        count[:, -1] = self.crossed[idx[:, -1], (n - 1) % 8]
+        return count
+
+
+# the tables of the last few (codes, crossing positions, s_l, s_r, g)
+_group_tables = lru_cache(maxsize=4)(_GroupTables)
+
+
+class _Jitter:
+    """The Gaussian draws and jittered decisions of a batch of edge walks.
+
+    A trial's stream runs: a chunk's bits, then its normals, then a coin
+    per tie.  draw(trials, counts) gives counts[k] normals of trial
+    trials[k], concatenated; a round draws what its cycles read.  A tie
+    first draws the rest of its chunk's normals into ahead, as _walk's
+    producer draws them all before the walk, and then its coin.
+    """
+
+    def __init__(self, config: TrialConfig, rngs, tab: _GroupTables):
+        self.rngs, self.tab = rngs, tab
+        self.s_l, self.s_r = config._substeps
+        self.g = config.window.width_steps * self.s_r
+        self.sigma = config.channel.sigma_steps * self.s_r
+        self.cross = (np.asarray(config.channel.trace.crossing_positions) * self.s_r).tolist()
+        self.ahead: dict[int, np.ndarray] = {}
+
+    def draw(self, trials: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        parts = []
+        for k, c in zip(trials.tolist(), counts.tolist()):
+            z = self.ahead.get(k)
+            if z is None:
+                parts.append(self.rngs[k].standard_normal(c))
+            else:
+                parts.append(z[:c])
+                self.ahead[k] = z[c:]
+        parts.append(np.zeros(1))  # a 0 past the last normal, for reduceat
+        return np.concatenate(parts)
+
+    def coin(self, k: int, rest) -> bool:
+        """Trial k's tie coin; rest() counts the crossings left in its chunk."""
+        if k not in self.ahead:
+            self.ahead[k] = self.rngs[k].standard_normal(rest())
+        return self.rngs[k].random() < 0.5
+
+    def settle(self, idx, begin, trials, n: int, rest, path):
+        """Draws a round's normals and yields (row, escape cycle in the
+        round or -1, side, shift of its end from the table's path) for
+        each row with an event group: one whose table path reaches an
+        edge, or where sigma * max|z| over its crossings reaches the
+        distance from that path to an edge.  rest(row) counts the
+        crossings after the round in the row's chunk."""
+        tab, g = self.tab, self.g
+        count = tab.crossings(idx, n)
+        # each group's first normal in z, which holds them row by row
+        first = (np.cumsum(count) - count.ravel()).reshape(count.shape)
+        z = self.draw(trials, count.sum(axis=1))
+        top = np.maximum.reduceat(np.abs(z), first.ravel()).reshape(count.shape)
+        reach = self.sigma * np.where(count > 0, top, 0.0)
+
+        def events(r, shift):
+            # compared in float64, reach < q still implies sigma * |z| < q
+            # for the integer q, and g - reach > q that g + sigma * z > q
+            b, i = begin[r] + shift, idx[r]
+            safe = (reach[r] < b + tab.reach_lo[i]) & (float(g) - reach[r] > b + tab.reach_hi[i])
+            return (tab.lo[i] <= -b) | (tab.hi[i] >= g - b) | ~safe
+
+        flags = events(slice(None), 0)
+        for r in np.flatnonzero(flags.any(axis=1)).tolist():
+            coin = partial(self.coin, int(trials[r]), partial(rest, r))
+            yield r, *self._row(
+                idx[r], begin[r], flags[r], partial(events, r), z, first[r].tolist(), n, coin,
+                path if r == 0 else None,
+            )
+
+    def _row(self, idx, begin, flags, events, z, first, n: int, coin, path):
+        """Groups run from the table up to each event group that flags
+        marks, which runs a cycle at a time with the real decisions, its
+        crossings at cross + sigma * z as _trace_events places them, z
+        from first[e] on for group e.  Once a group ends off the table
+        path, events(shift) flags the groups again along the path shifted
+        by shift.  path, when given, holds the table's positions per group
+        and cycle and takes the walk's.
+        """
+        tab, cross, sigma, g = self.tab, self.cross, self.sigma, self.g
+        shift, todo = 0, np.flatnonzero(flags).tolist()
+        while todo:
+            e = todo.pop(0)
+            top = int(begin[e])
+            p = top + shift
+            codes, k = tab.code[idx[e]].tolist(), first[e]
+            for j in range(min(8, n - 8 * e)):
+                if codes[j] >= 0:
+                    c = cross[codes[j]] + sigma * float(z[k])
+                    k += 1
+                    p = p + self.s_r if c < p or (c == p and coin()) else p - self.s_l
+                if path is not None:
+                    path[e, j] = p
+                if p <= 0 or p >= g:
+                    return 8 * e + j, -1 if p <= 0 else 1, shift
+            moved = p - (top + int(tab.prefix[idx[e], j]))
+            if moved != shift:
+                if path is not None:
+                    path[e + 1 :] += moved - shift
+                shift = moved
+                todo = (e + 1 + np.flatnonzero(events(shift)[e + 1 :])).tolist()
+        return -1, 0, shift
+
+
 def _edge_walks(config: TrialConfig, rngs, record: bool = False):
-    """Edge walks of one config, one trial per generator, stepped together.
+    """Edge walks of one config, one trial per generator, stepped together
+    eight cycles per table lookup.
 
     Trial k draws from its own generator rngs[k] (a block of _trial_rngs,
-    or run_trial's default_rng), in a fixed order:
-    the pattern phase, the ctx bits, the coarse coin, then payload bits;
-    so no trial depends on the others in its batch.  Each round stacks the
-    active trials' next bits into one (trials, cycles) block, maps every
-    bit window to a turn (+1 right, -1 left, 0 quiet) through the trace's codes,
-    holds the latest turn through quiet cycles while the coarse latch
-    runs, and takes each row's walk as a prefix sum of its moves; rows
-    that escaped retire.  A round holds at most _ROUND_ELEMENTS cycles
-    over all its rows.  Returns escape cycles (-1 for none), exit sides
-    (-1 left, +1 right, 0 none) and, when record is set on a batch of
-    one, the trajectory in steps.
+    or run_trial's default_rng), in a fixed order: the pattern phase, the
+    ctx bits, the coarse coin, then its bits a row at a time, drawn ahead
+    and held packed; so no trial depends on the others in its batch.  A
+    clean trial's rows grow fourfold from _ROW0 to _ROW_MAX bits; a
+    jittered trial's rows are _walk's chunks, each followed by the normals
+    of its crossings (_Jitter).
+
+    Each round looks up the _GroupTables row of every byte of the active
+    trials' next bits and takes each trial's walk as a prefix sum over its
+    groups.  The first group whose path reaches an edge holds the escape,
+    found inside it from the prefix table.  A jittered group runs from the
+    table unless sigma * max|z| over its crossings reaches the distance
+    from its path to an edge; such a group, like the escape group, runs a
+    cycle at a time with the real decisions.  While the coarse latch runs,
+    each cycle's turn comes from the table and the latest one is held
+    through quiet cycles.  A round holds at most _ROUND_ELEMENTS cycles
+    over all its rows, _CLEAN_ROUNDS times as many in a clean walk's fine
+    phase; rows that escaped retire.  Returns escape cycles (-1 for none),
+    exit sides (-1 left, +1 right, 0 none) and, when record is set on a
+    batch of one, the trajectory in steps.
     """
     cycles = np.full(len(rngs), -1, dtype=np.int64)
     sides = np.zeros(len(rngs), dtype=np.int8)
@@ -489,55 +709,105 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
     trace = config.channel.trace
     s_l, s_r = config._substeps
     g = w * s_r
-    # a crossing on the left edge lies left of every interior clock
-    left = np.asarray(trace.crossing_positions)[trace.codes] <= 0
-    turn = np.where(trace.codes < 0, 0, np.where(left, 1, -1))
-    fine = np.where(turn > 0, s_r, np.where(turn < 0, -s_l, 0))
-    ctx = trace.order + 1
+    tab = _group_tables(trace.codes.tobytes(), trace.crossing_positions, s_l, s_r, g)
+    jit = config.channel.sigma_steps and _Jitter(config, rngs, tab)
     coarse = config.coarse_first
     latch = min(coarse.duration_cycles, config.max_cycles) if coarse is not None else 0
 
-    # each trial's draws keep their order: phase, ctx bits, coin, payload
+    row, row_max = (_CHUNK0, _CHUNK_MAX) if jit else (_ROW0, _ROW_MAX)
     bits = _BitStreams(config.source, rngs)
-    tail = bits.take(ctx)
-    held = np.zeros(len(rngs), dtype=np.int64)
-    if latch:
-        # the latch starts at a coin-chosen edge; the left one turns the clock right
-        held[:] = [1 if r.random() < 0.5 else -1 for r in rngs]
+    end = min(row, config.max_cycles)
+    prev, heads, buf = bits.packed(end, tab.ctx, coin=latch > 0)
+    # the latch starts at a coin-chosen edge; the left one turns the clock right
+    held = np.where(heads, 1, -1)
     rows = np.arange(len(rngs))
     pos = np.full(rows.size, config.initial * s_r, dtype=np.int64)
     traj = [pos[:1]] if record else None
-    base, chunk = 0, _CHUNK0
+    base = start = 0  # buf holds the bits of cycles start to end - 1
     while rows.size and base < config.max_cycles:
+        if base == end:
+            row = min(row * 4, row_max)
+            start, end = base, min(base + row, config.max_cycles)
+            buf = bits.packed(end - start)[2]
+            if jit:
+                jit.ahead.clear()
+        if (base - start) % 8:
+            # the latch ended inside a byte: realign the rows on the next cycle
+            buf = np.packbits(np.unpackbits(buf, axis=1)[:, base - start :], axis=1)
+            start = base
         latched = base < latch
-        stop = latch if latched else config.max_cycles
-        n = min(chunk, max(1, _ROUND_ELEMENTS // rows.size), stop - base)
-        seq = np.concatenate([tail, bits.take(n)], axis=1)
-        key = _windows(seq, ctx)
+        # a latched round holds a cell per cycle, and a jittered one draws the
+        # normals of all its cycles, also past an escape: only a clean fine
+        # round, a table row per eight cycles, takes _CLEAN_ROUNDS times as many
+        cells = _ROUND_ELEMENTS if latched or jit else _CLEAN_ROUNDS * _ROUND_ELEMENTS
+        n = min(
+            end - base,
+            (latch if latched else config.max_cycles) - base,
+            max(8, cells // rows.size & -8),
+        )
+        first = (base - start) // 8
+        idx = tab.index(prev, buf[:, first : first - (-n // 8)])
+        last = (n - 1) % 8
+        prev = tab.after(idx[:, -1], last)
+        at = np.full(rows.size, -1)
+        side = np.zeros(rows.size, dtype=np.int8)
         if latched:
             # column 0 holds the previous round's latch, column j cycle j - 1's turn
-            t = np.concatenate([held[:, None], turn[key]], axis=1)
-            last = np.maximum.accumulate(np.where(t != 0, np.arange(n + 1), 0), axis=1)
-            t = np.take_along_axis(t, last, axis=1)[:, 1:]
+            t = np.concatenate([held[:, None], tab.turn[idx].reshape(rows.size, -1)[:, :n]], axis=1)
+            hold = np.maximum.accumulate(np.where(t != 0, np.arange(n + 1), 0), axis=1)
+            t = np.take_along_axis(t, hold, axis=1)[:, 1:]
             held = t[:, -1]
-            moves = t * (coarse.coarse_step_steps * s_r)
+            steps = t * (coarse.coarse_step_steps * s_r)
+            steps[:, 0] += pos
+            walk = np.cumsum(steps, axis=1, out=steps)
+            out = (walk <= 0) | (walk >= g)
+            hit = np.flatnonzero(out.any(axis=1))
+            at[hit] = out[hit].argmax(axis=1)
+            side[hit] = np.where(walk[hit, at[hit]] <= 0, -1, 1)
+            pos, path = walk[:, -1], walk[0] if record else None
         else:
-            moves = fine[key]
-        moves[:, 0] += pos
-        path = np.cumsum(moves, axis=1, out=moves)
-        out = (path <= 0) | (path >= g)
-        hit = out.any(axis=1)
-        at = out.argmax(axis=1)
+            net = tab.net[idx]
+            begin = np.cumsum(net, axis=1)
+            begin -= net
+            begin += pos[:, None]
+            pos = begin[:, -1] + tab.prefix[idx[:, -1], last]
+            path = begin[0, :, None] + tab.prefix[idx[0]] if record else None
+            if jit:
+                q, left = (base - start + n) // 8, end - base - n
+
+                def rest(r):
+                    ir = tab.index(prev[r : r + 1], buf[r : r + 1, q : q - (-left // 8)])
+                    return int(np.count_nonzero(tab.code[ir].ravel()[:left] >= 0))
+
+                for r, escape, exit_side, shift in jit.settle(idx, begin, rows, n, rest, path):
+                    at[r], side[r] = escape, exit_side
+                    pos[r] += shift
+            else:
+                # only a row whose groups start within span of an edge can escape
+                near = (begin.min(axis=1) <= tab.span) | (begin.max(axis=1) >= g - tab.span)
+                near = np.flatnonzero(near)
+                b = begin[near]
+                out = (tab.lo[idx[near]] <= -b) | (tab.hi[idx[near]] >= g - b)
+                esc = out.any(axis=1)
+                hit, e = near[esc], out[esc].argmax(axis=1)
+                ie, b = idx[hit, e], begin[hit, e]
+                lo_at = (tab.low[ie] > -b[:, None]).sum(axis=1)
+                hi_at = (tab.high[ie] < g - b[:, None]).sum(axis=1)
+                at[hit] = 8 * e + np.minimum(lo_at, hi_at)
+                side[hit] = np.where(lo_at < hi_at, -1, 1)
+                # an escape past cycle n lies in the padding of the last byte
+                at[at >= n] = -1
+            path = path.ravel() if record else None
         if record:
-            traj.append(path[0, : at[0] + 1 if hit[0] else n])
-        cycles[rows[hit]] = base + at[hit] + 1
-        sides[rows[hit]] = np.where(path[hit, at[hit]] <= 0, -1, 1)
-        live = ~hit
-        bits.keep(live)
-        rows, pos = rows[live], path[live, -1]
-        tail, held = seq[live, -ctx:], held[live]
+            traj.append(path[: at[0] + 1 if at[0] >= 0 else n])
         base += n
-        chunk = min(chunk * 4, _CHUNK_MAX)
+        hit = at >= 0
+        if hit.any():
+            cycles[rows[hit]] = base - n + at[hit] + 1
+            sides[rows[hit]] = side[hit]
+            live = ~hit
+            bits.keep(live)
+            rows, pos, held, buf, prev = rows[live], pos[live], held[live], buf[live], prev[live]
 
     return cycles, sides, _trajectory(traj, s_r, w, sides[0]) if record else None
 
@@ -546,7 +816,7 @@ def _walks(config: TrialConfig, rngs, record: bool = False):
     """The one trial dispatcher: what _edge_walks returns, for one trial per
     generator.  Edge walks step together; every other trial walks its own
     crossing producer through _walk."""
-    if _is_edge_walk(config):
+    if _is_edge_walk(config, jittered=True):
         return _edge_walks(config, rngs, record)
     if config.channel.kind == "rc_line":
         # one modal system for the block; each trial starts it at rest
@@ -559,8 +829,11 @@ def _walks(config: TrialConfig, rngs, record: bool = False):
 
 def run_trial(config: TrialConfig, seed, record: bool = False) -> TrialResult:
     """One trial drawing from default_rng(seed): seed may be an int, a
-    sequence of ints or a Generator, which the trial then draws from.
-    record keeps the position after each cycle as the trajectory."""
+    sequence of ints or a Generator, which the trial then draws from.  An
+    edge walk draws ahead, so a Generator is left past the trial's draws
+    by up to one draw-ahead row: up to _ROW_MAX bits, or the rest of a
+    jittered chunk's bits and one round's normals.  record keeps the
+    position after each cycle as the trajectory."""
     cycles, sides, traj = _walks(config, [np.random.default_rng(seed)], record)
     if not sides[0]:
         return TrialResult(False, None, None, traj)

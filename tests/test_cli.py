@@ -669,6 +669,11 @@ KEYED_ERRORS = [
     ("eye", {"schema_version": 1, "c_per_section_ui": 0.02, "samples_per_ui": 2**70,
              "bits_total": 60}, "samples_per_ui"),
     ("eye", {**EYE, "histogram_bins": 2**70}, "histogram_bins"),
+    # the ladder's section matrix is sections x sections
+    ("eye", {"schema_version": 1, "c_per_section_ui": 0.1, "samples_per_ui": 64,
+             "sections": 2**70}, "sections"),
+    ("eye", {"schema_version": 1, "c_per_section_ui": 0.1, "samples_per_ui": 64,
+             "sections": cli._MAX_SECTIONS + 1}, "sections"),
 ]
 
 
@@ -779,6 +784,8 @@ KEYED_ERRORS = [
         "eye-bits-past-cap",
         "eye-samples-per-ui-past-cap",
         "eye-bins-past-cap",
+        "eye-sections-past-int64",
+        "eye-sections-past-cap",
     ],
 )
 def test_bad_config_shape_exits_2(tmp_path, capsys, command, cfg):

@@ -4,12 +4,15 @@ import hashlib
 import json
 import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from mesosettle import sim
@@ -822,15 +825,23 @@ def test_windows_match_convolution_decode(ctx):
 EDGE_CASES = ["isi1", "isi1-mismatch", "periodic", "coarse-short", "coarse-long"]
 
 
-def edge_walk_oracle(cfg, seed) -> tuple[int, int]:
-    """(escape cycle, side) of one ISI-1 edge walk, stepped one cycle and one
-    bit draw at a time; -1 and 0 for a trial that does not escape."""
+def edge_walk_oracle(cfg, seed, record=False):
+    """(escape cycle, side) of one edge walk, stepped one cycle and one
+    bit draw at a time; -1 and 0 for a trial that does not escape.  With
+    record, the trajectory in steps follows, ending on the edge it left by.
+
+    A cycle reads the trace.order + 1 bits before it and its own bit.  A
+    jittered walk draws its bits a chunk at a time, 1024 cycles and then
+    four times as many up to 65536, each chunk followed by the normals of
+    its crossings, as _trace_events draws them; a tie's coin comes after.
+    """
     w = cfg.window.width_steps
     if w == 0:
-        return 0, -1
+        return (0, -1, np.zeros(1)) if record else (0, -1)
     rng = np.random.default_rng(seed)
     src, trace = cfg.source, cfg.channel.trace
     s_l, s_r = cfg._substeps
+    sigma = cfg.channel.sigma_steps
     phase = 0
     if src.kind in ("training_biased", "alternating"):
         phase = int(rng.integers(len(src.pattern)))
@@ -842,24 +853,49 @@ def edge_walk_oracle(cfg, seed) -> tuple[int, int]:
             return int(rng.random() < src.p)
         return src.pattern[(phase - 1) % len(src.pattern)]
 
-    history = (bit(), bit())
+    def label(window):
+        return table_label(trace, int("".join(map(str, window)), 2))
+
+    def result(cycle, side):
+        if not record:
+            return cycle, side
+        traj = np.array(path) / s_r
+        if side:
+            traj[-1] = 0.0 if side < 0 else float(w)
+        return cycle, side, traj
+
+    history = tuple(bit() for _ in range(trace.order + 1))
     coarse = cfg.coarse_first
     latch = coarse.duration_cycles if coarse is not None else 0
     held = (1 if rng.random() < 0.5 else -1) if latch else 0
     pos = cfg.initial * s_r
+    path = [pos]
+    chunk, queue, normals = 1024, [], []
     for cycle in range(cfg.max_cycles):
-        window = (*history, bit())
+        if sigma and not queue:
+            queue = [bit() for _ in range(min(chunk, cfg.max_cycles - cycle))]
+            seq = (*history, *queue)
+            count = sum(label(seq[j : j + len(history) + 1]) is not None for j in range(len(queue)))
+            normals = rng.standard_normal(count).tolist()
+            chunk = min(4 * chunk, 65536)
+        window = (*history, queue.pop(0) if sigma else bit())
         history = window[1:]
-        label = trace.transition_table[window]
-        turn = 0 if label is None else (1 if trace.crossing_of(label) == 0 else -1)
+        lab = label(window)
+        edge = None if lab is None else trace.crossing_of(lab) * s_r
         if cycle < latch:
-            held = turn or held
+            held = (1 if edge == 0 else -1) if lab is not None else held
             pos += held * coarse.coarse_step_steps * s_r
-        elif turn:
-            pos += s_r if turn > 0 else -s_l
+        elif lab is not None:
+            if sigma:
+                c = edge + sigma * s_r * normals.pop(0)
+                right = c < pos or (c == pos and rng.random() < 0.5)
+            else:
+                right = edge == 0
+            pos += s_r if right else -s_l
+        path.append(pos)
         if pos <= 0 or pos >= w * s_r:
-            return cycle + 1, -1 if pos <= 0 else 1
-    return -1, 0
+            return result(cycle + 1, -1 if pos <= 0 else 1)
+    return result(-1, 0)
 
 
 def solo_results(cfg, base_seed, trials):
@@ -985,6 +1021,178 @@ def test_spread_is_nan_below_two_escapes(trials, seed, escaped):
     assert res.n_escaped == escaped
     assert np.isnan(res.std_cycles)
     assert np.isnan(res.stderr_cycles)
+
+
+def edge_isi2_trace(width):
+    """An order-2 trace on the window edges: ISI-2's A and B transitions
+    cross at the left edge, C and D at the right one."""
+    table = {key: "A" if label in "AB" else "B" for key, label in ISI2_EMISSION.items()}
+    return IsiTraceModel(order=2, crossing_positions=(0.0, float(width)), transition_table=table)
+
+
+@st.composite
+def edge_configs(draw):
+    """Edge walks of every kind the batched kernel takes: widths 2-64
+    (width 1 has no start strictly inside), either trace order, bernoulli
+    and pattern sources, mismatch, jitter or a coarse latch, and latch
+    durations and cycle caps that cut a table group short."""
+    w = draw(st.integers(2, 64))
+    trace = draw(st.sampled_from([isi1_trace, edge_isi2_trace]))(w)
+    source = draw(
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]).map(BitSource.bernoulli)
+        | st.sampled_from([BitSource.training_biased(), BitSource.alternating()])
+        | st.lists(st.integers(0, 1), min_size=1, max_size=9).map(BitSource.explicit)
+    )
+    sigma = draw(st.none() | st.floats(0.05, 3.0))
+    coarse = None
+    if sigma is None and trace.order == 1 and draw(st.booleans()):
+        coarse = CoarseFirstSpec(draw(st.integers(1, 4)), draw(st.integers(1, 17)))
+    return TrialConfig(
+        channel=ChannelModel.discrete(trace, sigma),
+        source=source,
+        window=WindowSpec(w),
+        initial_position=draw(st.integers(1, w - 1)),
+        mismatch_percent=draw(st.integers(0, 20)),
+        max_cycles=draw(st.sampled_from([*range(1, 18), 1000, 3001])),
+        coarse_first=coarse,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=edge_configs(), batch=st.sampled_from([1, sim._BLOCK_TRIALS + 7]),
+       record=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_edge_kernel_matches_oracle(cfg, batch, record, seed):
+    """The table kernel walks every edge trial as the cycle-at-a-time
+    oracle does: escape cycle, side and, for a trial of its own, the
+    trajectory; in a batch of two blocks, the trials at each block's ends."""
+    assert sim._is_edge_walk(cfg, jittered=True)
+    if batch == 1:
+        res = run_trial(cfg, (seed, 0), record)
+        got = (res.escape_cycle if res.escaped else -1,
+               0 if not res.escaped else (-1 if res.exit_side == "left" else 1))
+        want = edge_walk_oracle(cfg, (seed, 0), record)
+        assert got == want[:2]
+        if record:
+            assert np.array_equal(res.trajectory, want[2])
+        return
+    got = batch_results(run_monte_carlo(cfg, batch, seed))
+    for k in (*range(7), *range(sim._BLOCK_TRIALS - 7, batch)):
+        assert got[k] == edge_walk_oracle(cfg, sim._trial_seed(seed, k)), k
+
+
+class TieRng:
+    """A generator that sets its first normal so that the first crossing
+    lands exactly on the clock, a tie; every other draw is default_rng's."""
+
+    def __init__(self, seed, z0):
+        self.rng, self.z0 = np.random.default_rng(seed), z0
+
+    def random(self, *args, **kw):
+        return self.rng.random(*args, **kw)
+
+    def integers(self, *args, **kw):
+        return self.rng.integers(*args, **kw)
+
+    def standard_normal(self, n):
+        z = self.rng.standard_normal(n)
+        if n and self.z0 is not None:
+            z[0], self.z0 = self.z0, None
+        return z
+
+
+def test_jittered_tie_draws_its_coin_after_the_chunk_normals():
+    """A tie's coin comes after all of its chunk's normals, as in _walk,
+    which draws them before it walks, also when the kernel's round covers
+    only part of the chunk and draws the rest early for the coin."""
+    w, start = 20, 10
+    cfg = TrialConfig(
+        channel=ChannelModel.discrete(isi1_trace(w), 0.5),
+        source=BitSource.bernoulli(0.5),
+        window=WindowSpec(w),
+        initial_position=start,
+    )
+    trials = 100  # rounds of 320 cycles, inside the first chunk of 1024
+    z0 = []
+    for k in range(trials):
+        bits = (np.random.default_rng(k).random(2 + 1024) < 0.5).astype(np.int8)
+        codes = cfg.channel.trace.codes[sim._windows(bits, 2)]
+        edge = cfg.channel.trace.crossing_positions[codes[codes >= 0][0]]
+        # 0.5 * z0 + edge == start, exactly
+        z0.append((start - edge) / 0.5)
+    walked = [sim._walk(cfg, *sim._trace_events(cfg, r), r, False)[:2]
+              for r in (TieRng(k, z) for k, z in enumerate(z0))]
+    cycles, sides, _ = sim._walks(cfg, [TieRng(k, z) for k, z in enumerate(z0)])
+    assert list(zip(cycles.tolist(), sides.tolist())) == walked
+    # the ties went both ways, and the tied runs differ from the plain ones
+    first = []
+    for k, z in enumerate(z0):
+        traj = sim._walks(cfg, [TieRng(k, z)], record=True)[2]
+        first.append(traj[np.flatnonzero(traj != start)[0]] - start)
+    assert set(first) == {-1.0, 1.0}
+    plain = sim._walks(cfg, [np.random.default_rng(k) for k in range(trials)])
+    assert list(zip(plain[0].tolist(), plain[1].tolist())) != walked
+
+
+def test_edge_walk_bit_draws(monkeypatch):
+    """Work guard: a 300-trial width-200 run from the centre draws each
+    trial's bits a row at a time, rows of up to _ROW_MAX bits that run
+    ahead of the walk by less than one row."""
+    calls, rows, drawn = [], [], []
+    real = sim.generate_bits
+
+    def spy(source, n, rng, phase=0):
+        bits = real(source, n, rng, phase)
+        calls.append(n)
+        rows.append(len(rng))
+        drawn.append(bits.size)
+        return bits
+
+    monkeypatch.setattr(sim, "generate_bits", spy)
+    res = run_monte_carlo(isi1_config(200), 300, 17)
+    assert res.n_escaped == 300
+    assert (len(calls), sum(rows)) == EDGE_W200_DRAWS
+    assert sum(drawn) < res.escape_cycles.sum() + 300 * (sim._ROW_MAX + 2)
+
+
+# (generate_bits calls, generator rows) of test_edge_walk_bit_draws.  Each
+# draw-ahead row is drawn in slices of trials that keep a float64 block
+# within _ROUND_ELEMENTS cells.  Drawing one round's bits at a time, the
+# walk made 181 calls that drew 30833 generator rows.
+EDGE_W200_DRAWS = (207, 2560)
+
+# peak bytes that tracemalloc saw in run_monte_carlo before the kernel drew
+# bits ahead, per bench montecarlo job at its centre position, and jittered
+# width 200
+PARENT_PEAK_MB = {
+    "w200": 0.90, "jitter-w40": 0.18, "mismatch-w40": 0.92, "coarse-w20": 1.24, "jitter-w200": 2.19,
+}
+
+
+@pytest.mark.parametrize("name", list(PARENT_PEAK_MB))
+def test_run_monte_carlo_peak_memory(name):
+    """The draw-ahead rows and chunks, held packed, and the rounds keep the
+    peak within 2 MB of what the walk took before."""
+    w, trials, kw = {
+        "w200": (200, 300, {}),
+        "jitter-w40": (40, 400, {"sigma": 0.75}),
+        "mismatch-w40": (40, 400, {"mismatch_percent": 10}),
+        "coarse-w20": (20, 3334, {"coarse_first": CoarseFirstSpec(4, 1000)}),
+        "jitter-w200": (200, 300, {"sigma": 0.75}),
+    }[name]
+    sigma = kw.pop("sigma", None)
+    cfg = TrialConfig(
+        channel=ChannelModel.discrete(isi1_trace(w), sigma),
+        source=BitSource.bernoulli(0.5),
+        window=WindowSpec(w),
+        **kw,
+    )
+    tracemalloc.start()
+    try:
+        run_monte_carlo(cfg, trials, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (PARENT_PEAK_MB[name] + 2) * 2**20
 
 
 # ---------------------------------------------------------------- seeding
