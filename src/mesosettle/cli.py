@@ -43,6 +43,10 @@ _MAX_TRIALS = 10**7
 _MAX_EYE_SAMPLES = 2**26
 _MAX_HISTOGRAM_BINS = 10**6
 _MAX_SECTIONS = 1000
+# states of one chain, counted in closed form before it is built: an isi1
+# or isi2 chain at the cap takes about 0.8 GB at peak and 2 s to build and
+# solve for its moments on the same machine
+_MAX_CHAIN_STATES = 10**6
 
 
 class ConfigError(ValueError):
@@ -254,6 +258,19 @@ def _source_from(cfg: dict) -> sim.BitSource:
     raise ConfigError(f"unknown source {kind!r}")
 
 
+def _cap_chain(states, what: str) -> None:
+    """Refuse a chain of more than _MAX_CHAIN_STATES states before it is
+    built: states is its count in closed form, what the keys that set it."""
+    if not states <= _MAX_CHAIN_STATES:
+        raise ConfigError(f"{what} makes a chain of more than {_MAX_CHAIN_STATES} states")
+
+
+def _cap_biased(width: int, mismatch) -> None:
+    """The biased chain's cap: W * s_R + 1 states, s_R the mismatch's sub-steps."""
+    s_r = jitter.mismatch_substeps(mismatch)[1]
+    _cap_chain(width * s_r + 1, f"width_steps {width} at mismatch_percent {mismatch}")
+
+
 def _window_from(cfg: dict) -> jitter.WindowSpec:
     return jitter.WindowSpec(_int(cfg, "width_steps"), _int(cfg, "initial_offset_steps", None))
 
@@ -264,16 +281,20 @@ def _chain_from(cfg: dict) -> tuple[markov.AbsorbingChain, object, dict]:
     desc: dict = {"model": model}
     if model == "isi1":
         window = _window_from(cfg)
+        _cap_chain(window.width_steps + 1, f"width_steps {window.width_steps}")
         chain = jitter.build_isi1_chain(window)
         init = window.initial
         desc["width_steps"] = window.width_steps
     elif model == "isi2":
-        subs = _list(cfg, "sub_windows_steps", _as_int, 3, None)
+        key = "sub_windows_steps"
+        subs = _list(cfg, key, _as_int, 3, None)
         if subs is None:
-            pct = _list(cfg, "sub_windows_percent_ui", _as_float, 3)
+            key = "sub_windows_percent_ui"
+            pct = _list(cfg, key, _as_float, 3)
             subs = jitter.sub_windows_to_steps(pct, _float(cfg, "step_percent_ui", 0.35))
-        chain = jitter.build_isi2_chain(*subs)
         width = sum(subs)
+        _cap_chain(6 * (width - 1) + 2, f"{key} of {list(subs)} steps")
+        chain = jitter.build_isi2_chain(*subs)
         init = _int(cfg, "initial_offset_steps", width // 2)
         desc["sub_windows_steps"] = list(subs)
         desc["width_steps"] = width
@@ -282,6 +303,11 @@ def _chain_from(cfg: dict) -> tuple[markov.AbsorbingChain, object, dict]:
             sigma_steps=_float(cfg, "sigma_steps"),
             truncation_sigmas=_float(cfg, "truncation_sigmas", 3.0),
             transition_probability=_float(cfg, "transition_probability", 0.5),
+        )
+        # np.ceil keeps an overflowing product at inf, where the builder's int() raises
+        _cap_chain(
+            2 * np.ceil(spec.truncation_sigmas * spec.sigma_steps) + 1,
+            f"sigma_steps {spec.sigma_steps} at truncation_sigmas {spec.truncation_sigmas}",
         )
         chain = jitter.build_gaussian_chain(spec)
         init = _int(cfg, "initial_offset_steps", 0)
@@ -294,6 +320,10 @@ def _chain_from(cfg: dict) -> tuple[markov.AbsorbingChain, object, dict]:
                 _list(cfg, "trace_probabilities", _as_float, 3, [0.25, 0.25, 0.5])
             ),
         )
+        _cap_chain(
+            spec.w_ab_steps + 2 * np.ceil(3.0 * spec.sigma_steps) + 1,
+            f"w_ab_steps {spec.w_ab_steps} at sigma_steps {spec.sigma_steps}",
+        )
         chain = jitter.build_combined_chain(spec)
         init = _int(cfg, "initial_offset_steps", spec.w_ab_steps // 2)
         desc["sigma_steps"] = spec.sigma_steps
@@ -301,7 +331,9 @@ def _chain_from(cfg: dict) -> tuple[markov.AbsorbingChain, object, dict]:
     elif model == "biased":
         window = _window_from(cfg)
         desc["mismatch_percent"] = cfg.get("mismatch_percent")  # the summary keeps it as written
-        chain = jitter.build_biased_chain(window, _float(cfg, "mismatch_percent"))
+        mismatch = _float(cfg, "mismatch_percent")
+        _cap_biased(window.width_steps, mismatch)
+        chain = jitter.build_biased_chain(window, mismatch)
         init = window.initial  # aligned on the tau grid
         desc["width_steps"] = window.width_steps
     else:
@@ -531,6 +563,7 @@ def cmd_compare(args, outdir: str) -> dict:
         width = _int(cfg, "width_steps")
         mismatch = _float(cfg, "mismatch_percent")
         _done(cfg, "compare")
+        _cap_biased(width, mismatch)
         report = reduction.compare_mismatch(width, mismatch)
         center = report.at_position(width // 2)
         summary = {
@@ -565,6 +598,7 @@ def cmd_compare(args, outdir: str) -> dict:
         confidence = _confidence_from(cfg)
         period = _float(cfg, "divided_period_ns", 4.0)
         _done(cfg, "compare")
+        _cap_chain(window.width_steps + 1, f"width_steps {window.width_steps}")
         est = reduction.coarse_first_confidence(window, confidence, period)
         return {
             "command": "compare",
@@ -596,6 +630,8 @@ def cmd_sweep(args, outdir: str) -> dict:
     confidence = _confidence_from(cfg)
     max_transitions = _max_transitions(cfg)
     _done(cfg, "sweep")
+    for w in widths:
+        _cap_chain(w + 1, f"widths_steps entry {w}")
     windows = [jitter.WindowSpec(w) for w in widths]
     chains = [jitter.build_isi1_chain(window) for window in windows]
 
@@ -658,9 +694,10 @@ def main(argv=None) -> int:
         # LinAlgError is a ValueError: caught here first, it stays a numerical failure
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (ValueError, MemoryError) as e:
+    except (ValueError, MemoryError, OverflowError) as e:
         # every parameter the library sees comes from the config or the command
-        # line, so a value or a size the library cannot take is a config error
+        # line, so a value or a size the library cannot take (an infinity
+        # rounded to an integer among them) is a config error
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

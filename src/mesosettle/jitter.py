@@ -3,8 +3,10 @@
 The clock position axis runs left to right with state 0 at the left
 absorbing edge.  A single phase-detector rule is used throughout: a
 crossing observed at time c with the clock at position p shifts the
-clock right (+1 step) when c < p, left when c > p, and resolves c == p
-with a fair coin.
+clock right (+1 step) when c < p and left when c > p.  On a clean
+trace a tie c == p has mass and takes a fair coin; a jittered crossing
+lies on a continuous axis, so there a tie has probability zero, and
+the simulator moves the clock left on one, drawing nothing.
 
 Every model is one walk, a mixture of crossings: with crossing i at c_i
 carrying mass p_i per cycle and clock jitter sigma, a clock at t moves

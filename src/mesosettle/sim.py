@@ -13,12 +13,17 @@ Only the group holding the escape, and a jittered group where a crossing
 could reach the clock, run a cycle at a time.  Every other trial (interior
 ISI-2 or collar crossings, RC lines) is a crossing-stream producer feeding
 ``_walk``, which moves the clock one crossing at a time because each move
-depends on the position.  ``_walk`` asks its producer for 1024 cycles
-first, then four times as many each chunk up to 65536.  An RC line
-starts at 16: its trials mostly escape within a few cycles, and each UI
-asked for is a UI synthesized.  A jittered trace keeps 1024 in either
-kernel, because it draws each chunk's normals right after that chunk's
-bits, so its chunk schedule fixes its random stream.
+depends on the position.
+Every trial draws on one schedule, in rows of ``_ROW0`` cycles growing
+fourfold up to ``_ROW_MAX``: a row's bits, then the normals of its
+crossings in cycle order, then, on a clean discrete trace, a fair coin
+per tie.  A jittered crossing lies on a continuous axis, so it ties the
+clock with probability zero: it draws no coin, and ``c < p`` decides.
+Both kernels keep this order, so a trial's stream does not depend on
+which kernel walks it, nor on how a batch splits into rounds.  An edge
+walk draws each row ahead and holds it packed; ``_walk`` asks its
+producer for a row at a time, so an RC trial, which mostly escapes
+within a few cycles, synthesizes few UIs.
 The ladder's modal system is built once per ``_walks`` call, and each RC
 trial starts its own copy at rest.  ``run_monte_carlo`` sends
 blocks of ``_BLOCK_TRIALS`` trials through ``_walks``, and
@@ -66,14 +71,9 @@ __all__ = [
 # minimum run lengths: one for '1', two for '0'
 TRAINING_PATTERN: tuple[int, ...] = (0, 0, 1, 0, 0, 1, 1, 1)
 
-# cycles per chunk of one walk: the first (an RC trial's is short, see
-# _walk), and the cap as it grows fourfold
-_CHUNK0 = 1024
-_RC_CHUNK0 = 16
-_CHUNK_MAX = 65536
-# bits a clean edge walk draws ahead: the first row, and the cap as it
-# grows fourfold
-_ROW0 = 32
+# cycles per row of every trial's draws: the first row, and the cap as
+# rows grow fourfold
+_ROW0 = 16
 _ROW_MAX = 4096
 # trials seeded together (and edge walks stepped together), the (trial,
 # cycle) cells of one edge-walk round, and the multiple of them in a round
@@ -411,9 +411,8 @@ def _windows(seq: np.ndarray, ctx: int) -> np.ndarray:
 
 
 def _trace_events(config: TrialConfig, rng: np.random.Generator):
-    """Crossing producer of a discrete trace, with start and width in steps
-    and the first chunk's cycles: codes read off one trial's bit stream,
-    jittered by sigma_steps if set."""
+    """Crossing producer of a discrete trace, with start and width in steps:
+    codes read off one trial's bit stream, jittered by sigma_steps if set."""
     trace = config.channel.trace
     s_r = config._substeps[1]
     cross = np.asarray(trace.crossing_positions) * s_r
@@ -433,11 +432,11 @@ def _trace_events(config: TrialConfig, rng: np.random.Generator):
             c = c + sigma * rng.standard_normal(t.size)
         return t, c
 
-    return events, config.initial, config.window.width_steps, _CHUNK0
+    return events, config.initial, config.window.width_steps
 
 
 def _trajectory(pieces, s_r: int, w: int, side: int) -> np.ndarray:
-    """Position in steps after each cycle, from the per-chunk positions in
+    """Position in steps after each cycle, from the per-row positions in
     sub-steps; an escaped walk ends on the edge it left by."""
     trajectory = np.concatenate(pieces) / s_r
     if side:
@@ -445,33 +444,31 @@ def _trajectory(pieces, s_r: int, w: int, side: int) -> np.ndarray:
     return trajectory
 
 
-def _walk(config: TrialConfig, events, start: int, w: int, chunk: int, rng, record: bool):
+def _walk(config: TrialConfig, events, start: int, w: int, rng, record: bool):
     """The phase-detector walk over a crossing stream, one crossing at a time.
 
     events(n) gives the crossings of the next n cycles as cycle indices t
-    (-1 for a crossing just before the chunk) and positions c in
-    sub-steps; a crossing left of the clock moves it s_r sub-steps right,
-    one right of it s_l sub-steps left, and a fair coin decides a tie.
-    The walk starts start steps into a window of w whose edges absorb, and
-    returns one row of _edge_walks.  Only walks whose moves depend on the
-    position everywhere come here: traces with interior crossings (ISI-2,
-    a collar), jittered or not, and RC lines.  The first chunk asks for
-    chunk cycles, as the producer says: _RC_CHUNK0 for an RC line, whose
-    trials mostly escape within a few cycles and pay for every UI
-    synthesized, and _CHUNK0 for a discrete trace, whose jittered streams
-    draw each chunk's normals after its bits.  Chunks then grow fourfold
-    up to _CHUNK_MAX.
+    (-1 for a crossing just before the row) and positions c in sub-steps,
+    drawing the row's bits and then its normals; a crossing left of the
+    clock moves it s_r sub-steps right and any other s_l sub-steps left,
+    but on a clean discrete trace a tie draws a fair coin after the row's
+    bits.  The walk starts start steps into a window of w whose edges
+    absorb, asks for rows of _ROW0 cycles growing fourfold up to _ROW_MAX,
+    and returns one row of _edge_walks.  Only walks whose moves depend on
+    the position everywhere come here: traces with interior crossings
+    (ISI-2, a collar), jittered or not, and RC lines.
     """
     s_l, s_r = config._substeps
+    coin = config.channel.kind == "discrete_trace" and config.channel.sigma_steps is None
     g, pos = w * s_r, start * s_r
     traj = [np.array([pos], dtype=float)] if record else None
-    base, cycle, side = 0, -1, 0
+    base, cycle, side, row = 0, -1, 0, _ROW0
     while base < config.max_cycles and not side:
-        n = min(chunk, config.max_cycles - base)
+        n = min(row, config.max_cycles - base)
         t, c = events(n)
         steps, p = [], pos
         for ck in c.tolist():
-            if ck < p or (ck == p and rng.random() < 0.5):
+            if ck < p or (ck == p and coin and rng.random() < 0.5):
                 p += s_r
             else:
                 p -= s_l
@@ -491,7 +488,7 @@ def _walk(config: TrialConfig, events, start: int, w: int, chunk: int, rng, reco
         if path.size:
             pos = int(path[-1])
         base += n
-        chunk = min(chunk * 4, _CHUNK_MAX)
+        row = min(row * 4, _ROW_MAX)
 
     return cycle, side, _trajectory(traj, s_r, w, side) if record else None
 
@@ -576,11 +573,12 @@ _group_tables = lru_cache(maxsize=4)(_GroupTables)
 class _Jitter:
     """The Gaussian draws and jittered decisions of a batch of edge walks.
 
-    A trial's stream runs: a chunk's bits, then its normals, then a coin
-    per tie.  draw(trials, counts) gives counts[k] normals of trial
-    trials[k], concatenated; a round draws what its cycles read.  A tie
-    first draws the rest of its chunk's normals into ahead, as _walk's
-    producer draws them all before the walk, and then its coin.
+    A trial draws a row's normals after its bits, one per crossing in
+    cycle order.  draw(trials, counts) gives counts[k] normals of trial
+    trials[k], concatenated; a round draws those of its cycles, so the
+    rounds of a row draw its normals in order.  A crossing at cross +
+    sigma * z ties the clock with probability zero: a tie draws no coin
+    and moves the clock left, as c < p decides.
     """
 
     def __init__(self, config: TrialConfig, rngs, tab: _GroupTables):
@@ -589,33 +587,18 @@ class _Jitter:
         self.g = config.window.width_steps * self.s_r
         self.sigma = config.channel.sigma_steps * self.s_r
         self.cross = (np.asarray(config.channel.trace.crossing_positions) * self.s_r).tolist()
-        self.ahead: dict[int, np.ndarray] = {}
 
     def draw(self, trials: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        parts = []
-        for k, c in zip(trials.tolist(), counts.tolist()):
-            z = self.ahead.get(k)
-            if z is None:
-                parts.append(self.rngs[k].standard_normal(c))
-            else:
-                parts.append(z[:c])
-                self.ahead[k] = z[c:]
+        parts = [self.rngs[k].standard_normal(c) for k, c in zip(trials.tolist(), counts.tolist())]
         parts.append(np.zeros(1))  # a 0 past the last normal, for reduceat
         return np.concatenate(parts)
 
-    def coin(self, k: int, rest) -> bool:
-        """Trial k's tie coin; rest() counts the crossings left in its chunk."""
-        if k not in self.ahead:
-            self.ahead[k] = self.rngs[k].standard_normal(rest())
-        return self.rngs[k].random() < 0.5
-
-    def settle(self, idx, begin, trials, n: int, rest, path):
+    def settle(self, idx, begin, trials, n: int, path):
         """Draws a round's normals and yields (row, escape cycle in the
         round or -1, side, shift of its end from the table's path) for
         each row with an event group: one whose table path reaches an
         edge, or where sigma * max|z| over its crossings reaches the
-        distance from that path to an edge.  rest(row) counts the
-        crossings after the round in the row's chunk."""
+        distance from that path to an edge."""
         tab, g = self.tab, self.g
         count = tab.crossings(idx, n)
         # each group's first normal in z, which holds them row by row
@@ -633,13 +616,12 @@ class _Jitter:
 
         flags = events(slice(None), 0)
         for r in np.flatnonzero(flags.any(axis=1)).tolist():
-            coin = partial(self.coin, int(trials[r]), partial(rest, r))
             yield r, *self._row(
-                idx[r], begin[r], flags[r], partial(events, r), z, first[r].tolist(), n, coin,
+                idx[r], begin[r], flags[r], partial(events, r), z, first[r].tolist(), n,
                 path if r == 0 else None,
             )
 
-    def _row(self, idx, begin, flags, events, z, first, n: int, coin, path):
+    def _row(self, idx, begin, flags, events, z, first, n: int, path):
         """Groups run from the table up to each event group that flags
         marks, which runs a cycle at a time with the real decisions, its
         crossings at cross + sigma * z as _trace_events places them, z
@@ -659,7 +641,7 @@ class _Jitter:
                 if codes[j] >= 0:
                     c = cross[codes[j]] + sigma * float(z[k])
                     k += 1
-                    p = p + self.s_r if c < p or (c == p and coin()) else p - self.s_l
+                    p = p + self.s_r if c < p else p - self.s_l
                 if path is not None:
                     path[e, j] = p
                 if p <= 0 or p >= g:
@@ -679,11 +661,11 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
 
     Trial k draws from its own generator rngs[k] (a block of _trial_rngs,
     or run_trial's default_rng), in a fixed order: the pattern phase, the
-    ctx bits, the coarse coin, then its bits a row at a time, drawn ahead
-    and held packed; so no trial depends on the others in its batch.  A
-    clean trial's rows grow fourfold from _ROW0 to _ROW_MAX bits; a
-    jittered trial's rows are _walk's chunks, each followed by the normals
-    of its crossings (_Jitter).
+    ctx bits, the coarse coin, then its bits a row at a time, rows of
+    _ROW0 cycles growing fourfold to _ROW_MAX, drawn ahead and held
+    packed; a jittered trial draws each row's normals after its bits
+    (_Jitter).  So no trial depends on the others in its batch, and each
+    draws what _walk would draw for it.
 
     Each round looks up the _GroupTables row of every byte of the active
     trials' next bits and takes each trial's walk as a prefix sum over its
@@ -714,7 +696,7 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
     coarse = config.coarse_first
     latch = min(coarse.duration_cycles, config.max_cycles) if coarse is not None else 0
 
-    row, row_max = (_CHUNK0, _CHUNK_MAX) if jit else (_ROW0, _ROW_MAX)
+    row = _ROW0
     bits = _BitStreams(config.source, rngs)
     end = min(row, config.max_cycles)
     prev, heads, buf = bits.packed(end, tab.ctx, coin=latch > 0)
@@ -726,11 +708,9 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
     base = start = 0  # buf holds the bits of cycles start to end - 1
     while rows.size and base < config.max_cycles:
         if base == end:
-            row = min(row * 4, row_max)
+            row = min(row * 4, _ROW_MAX)
             start, end = base, min(base + row, config.max_cycles)
             buf = bits.packed(end - start)[2]
-            if jit:
-                jit.ahead.clear()
         if (base - start) % 8:
             # the latch ended inside a byte: realign the rows on the next cycle
             buf = np.packbits(np.unpackbits(buf, axis=1)[:, base - start :], axis=1)
@@ -773,13 +753,7 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
             pos = begin[:, -1] + tab.prefix[idx[:, -1], last]
             path = begin[0, :, None] + tab.prefix[idx[0]] if record else None
             if jit:
-                q, left = (base - start + n) // 8, end - base - n
-
-                def rest(r):
-                    ir = tab.index(prev[r : r + 1], buf[r : r + 1, q : q - (-left // 8)])
-                    return int(np.count_nonzero(tab.code[ir].ravel()[:left] >= 0))
-
-                for r, escape, exit_side, shift in jit.settle(idx, begin, rows, n, rest, path):
+                for r, escape, exit_side, shift in jit.settle(idx, begin, rows, n, path):
                     at[r], side[r] = escape, exit_side
                     pos[r] += shift
             else:
@@ -829,11 +803,11 @@ def _walks(config: TrialConfig, rngs, record: bool = False):
 
 def run_trial(config: TrialConfig, seed, record: bool = False) -> TrialResult:
     """One trial drawing from default_rng(seed): seed may be an int, a
-    sequence of ints or a Generator, which the trial then draws from.  An
-    edge walk draws ahead, so a Generator is left past the trial's draws
-    by up to one draw-ahead row: up to _ROW_MAX bits, or the rest of a
-    jittered chunk's bits and one round's normals.  record keeps the
-    position after each cycle as the trajectory."""
+    sequence of ints or a Generator, which the trial then draws from.  A
+    trial draws a row at a time, so a Generator is left past the trial's
+    draws by the rest of its last row: up to _ROW_MAX bits and their
+    normals.  record keeps the position after each cycle as the
+    trajectory."""
     cycles, sides, traj = _walks(config, [np.random.default_rng(seed)], record)
     if not sides[0]:
         return TrialResult(False, None, None, traj)
@@ -863,19 +837,19 @@ def _rc_line_events(config: TrialConfig, rng: np.random.Generator, line: _RcLine
         )
     scale = config._substeps[1] / config.step_tau
     events = _rc_events(line, _BitStreams(config.source, [rng]), hist.band_start_ui, win_ui, scale)
-    return events, init, w, _RC_CHUNK0
+    return events, init, w
 
 
 def _rc_events(line: _RcLine, bits: _BitStreams, band: float, win_ui: float, scale: float):
     """The first crossing of each cycle of an RC line, placed relative to
     the band start and scaled to sub-steps."""
-    last = -2  # cycle of the previous chunk's last crossing, counted from this chunk
+    last = -2  # cycle of the previous row's last crossing, counted from this row
 
     def events(n: int) -> tuple[np.ndarray, np.ndarray]:
         nonlocal last
         t_ui = line.crossings(bits.take(n)[0])
         ui = np.floor(t_ui).astype(np.int64)
-        # a lookback crossing (ui -1) is first only if the previous chunk
+        # a lookback crossing (ui -1) is first only if the previous row
         # gave its cycle none
         first = np.diff(ui, prepend=last) != 0
         last = (ui[-1] if ui.size else last) - n

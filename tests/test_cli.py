@@ -674,6 +674,28 @@ KEYED_ERRORS = [
              "sections": 2**70}, "sections"),
     ("eye", {"schema_version": 1, "c_per_section_ui": 0.1, "samples_per_ui": 64,
              "sections": cli._MAX_SECTIONS + 1}, "sections"),
+    # chains past the state cap, counted in closed form before they are built
+    ("analyze", {"schema_version": 1, "model": "isi1", "width_steps": 2**70}, "width_steps"),
+    ("analyze", {"schema_version": 1, "model": "isi1", "width_steps": cli._MAX_CHAIN_STATES},
+     "width_steps"),
+    ("analyze", {**BIASED, "width_steps": 2**70, "mismatch_percent": 10}, "width_steps"),
+    ("analyze", {"schema_version": 1, "model": "isi2", "sub_windows_steps": [2**70, 1, 1]},
+     "sub_windows_steps"),
+    ("analyze", {"schema_version": 1, "model": "isi2", "sub_windows_percent_ui": [1e10, 1, 1]},
+     "sub_windows_percent_ui"),
+    ("analyze", {"schema_version": 1, "model": "gaussian", "sigma_steps": 2**70}, "sigma_steps"),
+    ("analyze", {"schema_version": 1, "model": "gaussian", "sigma_steps": 1,
+                 "truncation_sigmas": 2**70}, "truncation_sigmas"),
+    # the product overflows to inf
+    ("analyze", {"schema_version": 1, "model": "gaussian", "sigma_steps": 1e300,
+                 "truncation_sigmas": 1e10}, "truncation_sigmas"),
+    ("analyze", {**COMBINED, "w_ab_steps": 2**70}, "w_ab_steps"),
+    ("analyze", {**COMBINED, "sigma_steps": 2**70}, "sigma_steps"),
+    ("sweep", {"schema_version": 1, "widths_steps": [2, 2**70]}, "widths_steps"),
+    ("sweep", {"schema_version": 1, "widths_steps": [cli._MAX_CHAIN_STATES]}, "widths_steps"),
+    ("compare", {**MISMATCH, "width_steps": 2**70, "mismatch_percent": 10}, "width_steps"),
+    ("compare", {"schema_version": 1, "technique": "coarse", "width_steps": 2**70},
+     "width_steps"),
 ]
 
 
@@ -726,6 +748,9 @@ KEYED_ERRORS = [
         ("compare", {**MISMATCH, "mismatch_percent": 2**70}),
         ("compare", {**TRAINING, "mismatch_percent": 2**70}),
         ("simulate", simulate_cfg(source="explicit", pattern_bits=[0, 2])),
+        # p / step_percent_ui overflows to inf, which no step count rounds to
+        ("analyze", {"schema_version": 1, "model": "isi2",
+                     "sub_windows_percent_ui": [1e308, 1, 1], "step_percent_ui": 1e-300}),
         *[(command, cfg) for command, cfg, _ in KEYED_ERRORS],
     ],
     ids=[
@@ -774,6 +799,7 @@ KEYED_ERRORS = [
         "compare-mismatch-past-int64",
         "training-mismatch-past-int64",
         "simulate-pattern-two",
+        "isi2-sub-windows-percent-infinite",
         "simulate-pattern-floats",
         "simulate-pattern-bools",
         "eye-pattern-floats",
@@ -786,6 +812,20 @@ KEYED_ERRORS = [
         "eye-bins-past-cap",
         "eye-sections-past-int64",
         "eye-sections-past-cap",
+        "isi1-width-past-int64",
+        "isi1-width-past-cap",
+        "biased-width-past-int64",
+        "isi2-sub-windows-past-int64",
+        "isi2-sub-windows-percent-past-cap",
+        "gaussian-sigma-past-int64",
+        "gaussian-truncation-past-int64",
+        "gaussian-product-infinite",
+        "combined-w-ab-past-int64",
+        "combined-sigma-past-int64",
+        "sweep-width-past-int64",
+        "sweep-width-past-cap",
+        "compare-mismatch-width-past-int64",
+        "compare-coarse-width-past-int64",
     ],
 )
 def test_bad_config_shape_exits_2(tmp_path, capsys, command, cfg):
@@ -931,6 +971,34 @@ def test_python_m_runs_from_source(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["n_at_confidence"] == [7, 48]
+
+
+def test_chain_past_the_state_cap_exits_2_at_once(tmp_path):
+    """An isi2 chain of 18 million states is refused from its closed-form
+    count before anything is built: under a 1 GiB address-space limit the
+    command exits 2, naming its key, and main returns within a second."""
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(
+        {"schema_version": 1, "model": "isi2", "sub_windows_steps": [1000000] * 3}
+    ))
+    code = (
+        "import resource, sys, time; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+        "from mesosettle.cli import main; "
+        "t = time.perf_counter(); rc = main(sys.argv[1:]); "
+        "print(time.perf_counter() - t); sys.exit(rc)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "analyze", "--config", str(cfg_path),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True,
+        text=True,
+        env=_source_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: sub_windows_steps")
+    assert float(proc.stdout) < 1.0
 
 
 def test_import_leaves_scipy_signal_and_stats_unloaded():

@@ -602,8 +602,8 @@ def test_rc_trials_escape_both_sides():
 
 def test_rc_trial_synthesizes_only_what_it_reads(monkeypatch):
     """A trial that escapes within 16 cycles synthesizes its 288-UI
-    calibration burst and one 16-UI chunk, not the 1024 cycles a discrete
-    trace asks for first; a block of trials builds one ladder."""
+    calibration burst and one 16-UI row, the first of every trial's draw
+    schedule; a block of trials builds one ladder."""
     uis, systems = [], []
     step, rc_system = sim._RcLine._step, sim._rc_system
 
@@ -634,11 +634,11 @@ def test_rc_crossings_do_not_depend_on_the_chunk_schedule(name):
     chan = REFERENCE_CHANNELS[name]
     bits = np.random.default_rng(8).integers(0, 2, 2048)
     whole = sim._RcLine(chan).crossings(bits)
-    line, parts, base, chunk = sim._RcLine(chan), [], 0, sim._RC_CHUNK0
+    line, parts, base, row = sim._RcLine(chan), [], 0, sim._ROW0
     while base < bits.size:
-        n = min(chunk, bits.size - base)
+        n = min(row, bits.size - base)
         parts.append(base + line.crossings(bits[base : base + n]))
-        base, chunk = base + n, min(chunk * 4, sim._CHUNK_MAX)
+        base, row = base + n, min(row * 4, sim._ROW_MAX)
     got = np.concatenate(parts)
     assert len(parts) == 5  # 16, 64, 256, 1024 and the last 688
     assert got.size == whole.size
@@ -715,18 +715,20 @@ def test_training_source_drifts_deterministically():
 
 # ------------------------------------------------------------ walk stream
 
-# walk_stream_digests() as computed at commit bc9e2cf, the last one with a
-# separate walk loop per trial kind; regenerate only when a change means to
-# alter the random streams, and say so in CHANGES.md
+# walk_stream_digests() as computed when every trial was put on one draw
+# schedule (rows of _ROW0 cycles growing to _ROW_MAX, each row's bits, then
+# its normals, then its tie coins), the last change meant to alter the
+# random streams.  Regenerate only for such a change, with
+# `python3 tests/regen_references.py`, and say so in CHANGES.md
 WALK_STREAM_TABLE = Path(__file__).with_name("walk_stream_reference.json")
 
 
 def walk_stream_cases():
     """One config per walk that used to have its own loop: clean ISI-1 with
     and without mismatch, a periodic source, coarse acquisition ending
-    inside and beyond the first chunk, jitter inside a collar and over
-    several chunks, ISI-2 ties and an RC line whose finer phase step runs
-    one seed past the first chunk."""
+    early and late, jitter inside a collar and over several rows, ISI-2
+    ties and an RC line whose finer phase step runs one seed past the
+    first row."""
     bern = BitSource.bernoulli(0.5)
     collar = IsiTraceModel(
         order=1, crossing_positions=(3.0, 13.0), transition_table=dict(ISI1_TABLE)
@@ -754,11 +756,13 @@ def walk_stream_cases():
     }
 
 
-def walk_stream_digests() -> dict:
+def walk_stream_digests(names=None) -> dict:
     """Escape, cycle, side and trajectory SHA-256 per case, seed and recording,
-    plus one run_monte_carlo per case."""
+    plus one run_monte_carlo per case; every case, or those named."""
     out = {}
     for name, cfg in walk_stream_cases().items():
+        if names is not None and name not in names:
+            continue
         for record in (False, True):
             for seed in range(6):
                 res = run_trial(cfg, seed, record)
@@ -775,9 +779,25 @@ def walk_stream_digests() -> dict:
 
 def test_walk_stream_matches_parent():
     """Every trial draws the same random numbers and walks the same path as
-    the separate loops that the single walk kernel replaced."""
+    when the table was written."""
     expected = json.loads(WALK_STREAM_TABLE.read_text())
     assert walk_stream_digests() == expected
+
+
+def test_walk_stream_does_not_depend_on_rounds_blocks_or_rows(monkeypatch):
+    """Rounds and seeding blocks only split a trial's draws, so with both
+    at small odd sizes every pinned entry holds.  Rows fix where a row's
+    normals and tie coins fall; with rows changed as well, the entries of
+    streams of bits alone still hold, an RC line's among them."""
+    expected = json.loads(WALK_STREAM_TABLE.read_text())
+    monkeypatch.setattr(sim, "_ROUND_ELEMENTS", 75)
+    monkeypatch.setattr(sim, "_BLOCK_TRIALS", 3)
+    assert walk_stream_digests() == expected
+    monkeypatch.setattr(sim, "_ROW0", 24)
+    monkeypatch.setattr(sim, "_ROW_MAX", 96)
+    bit_streams = [*EDGE_CASES, "rc"]  # no normals and no tie coins
+    got = walk_stream_digests(bit_streams)
+    assert got == {k: v for k, v in expected.items() if k.split("|")[0] in bit_streams}
 
 
 def table_label(trace, window):
@@ -831,9 +851,9 @@ def edge_walk_oracle(cfg, seed, record=False):
     record, the trajectory in steps follows, ending on the edge it left by.
 
     A cycle reads the trace.order + 1 bits before it and its own bit.  A
-    jittered walk draws its bits a chunk at a time, 1024 cycles and then
-    four times as many up to 65536, each chunk followed by the normals of
-    its crossings, as _trace_events draws them; a tie's coin comes after.
+    jittered walk draws its bits a row at a time, sim._ROW0 cycles and
+    then four times as many up to sim._ROW_MAX, each row followed by the
+    normals of its crossings; a tie moves the clock left and draws nothing.
     """
     w = cfg.window.width_steps
     if w == 0:
@@ -870,14 +890,14 @@ def edge_walk_oracle(cfg, seed, record=False):
     held = (1 if rng.random() < 0.5 else -1) if latch else 0
     pos = cfg.initial * s_r
     path = [pos]
-    chunk, queue, normals = 1024, [], []
+    row, queue, normals = sim._ROW0, [], []
     for cycle in range(cfg.max_cycles):
         if sigma and not queue:
-            queue = [bit() for _ in range(min(chunk, cfg.max_cycles - cycle))]
+            queue = [bit() for _ in range(min(row, cfg.max_cycles - cycle))]
             seq = (*history, *queue)
             count = sum(label(seq[j : j + len(history) + 1]) is not None for j in range(len(queue)))
             normals = rng.standard_normal(count).tolist()
-            chunk = min(4 * chunk, 65536)
+            row = min(4 * row, sim._ROW_MAX)
         window = (*history, queue.pop(0) if sigma else bit())
         history = window[1:]
         lab = label(window)
@@ -887,8 +907,7 @@ def edge_walk_oracle(cfg, seed, record=False):
             pos += held * coarse.coarse_step_steps * s_r
         elif lab is not None:
             if sigma:
-                c = edge + sigma * s_r * normals.pop(0)
-                right = c < pos or (c == pos and rng.random() < 0.5)
+                right = edge + sigma * s_r * normals.pop(0) < pos
             else:
                 right = edge == 0
             pos += s_r if right else -s_l
@@ -1100,10 +1119,11 @@ class TieRng:
         return z
 
 
-def test_jittered_tie_draws_its_coin_after_the_chunk_normals():
-    """A tie's coin comes after all of its chunk's normals, as in _walk,
-    which draws them before it walks, also when the kernel's round covers
-    only part of the chunk and draws the rest early for the coin."""
+def test_jittered_tie_moves_left_and_draws_nothing():
+    """A jittered crossing exactly on the clock has no mass, so in either
+    kernel it moves the clock left, as c < p decides, and draws no coin:
+    each trial walks as it does when its first normal puts that crossing
+    just right of the clock."""
     w, start = 20, 10
     cfg = TrialConfig(
         channel=ChannelModel.discrete(isi1_trace(w), 0.5),
@@ -1111,26 +1131,45 @@ def test_jittered_tie_draws_its_coin_after_the_chunk_normals():
         window=WindowSpec(w),
         initial_position=start,
     )
-    trials = 100  # rounds of 320 cycles, inside the first chunk of 1024
+    trials = 100
     z0 = []
     for k in range(trials):
-        bits = (np.random.default_rng(k).random(2 + 1024) < 0.5).astype(np.int8)
+        bits = (np.random.default_rng(k).random(2 + 64) < 0.5).astype(np.int8)
         codes = cfg.channel.trace.codes[sim._windows(bits, 2)]
         edge = cfg.channel.trace.crossing_positions[codes[codes >= 0][0]]
         # 0.5 * z0 + edge == start, exactly
         z0.append((start - edge) / 0.5)
-    walked = [sim._walk(cfg, *sim._trace_events(cfg, r), r, False)[:2]
-              for r in (TieRng(k, z) for k, z in enumerate(z0))]
-    cycles, sides, _ = sim._walks(cfg, [TieRng(k, z) for k, z in enumerate(z0)])
-    assert list(zip(cycles.tolist(), sides.tolist())) == walked
-    # the ties went both ways, and the tied runs differ from the plain ones
-    first = []
+
+    def kernels(z):
+        rngs = [TieRng(k, zk) for k, zk in enumerate(z)]
+        walked = [sim._walk(cfg, *sim._trace_events(cfg, r), r, False)[:2] for r in rngs]
+        cycles, sides, _ = sim._walks(cfg, [TieRng(k, zk) for k, zk in enumerate(z)])
+        return walked, list(zip(cycles.tolist(), sides.tolist()))
+
+    walked, batched = kernels(z0)
+    assert batched == walked
+    assert kernels([z + 1e-6 for z in z0]) == (walked, batched)
     for k, z in enumerate(z0):
         traj = sim._walks(cfg, [TieRng(k, z)], record=True)[2]
-        first.append(traj[np.flatnonzero(traj != start)[0]] - start)
-    assert set(first) == {-1.0, 1.0}
+        assert traj[np.flatnonzero(traj != start)[0]] - start == -1.0
+    # the ties changed the walks
     plain = sim._walks(cfg, [np.random.default_rng(k) for k in range(trials)])
     assert list(zip(plain[0].tolist(), plain[1].tolist())) != walked
+
+
+def test_oracle_and_kernels_agree_past_the_first_rows():
+    """jitter-long's trials run through several rows, each row's normals
+    drawn after its bits, so the oracle agrees with both kernels on every
+    seed only if it keeps their row schedule.  The Hypothesis test's
+    walks mostly end inside the first row."""
+    cfg = walk_stream_cases()["jitter-long"]
+    for seed in range(6):
+        want = edge_walk_oracle(cfg, seed)
+        assert want[0] > sim._ROW0 * 5  # past the second row
+        res = run_trial(cfg, seed)
+        assert (res.escape_cycle, -1 if res.exit_side == "left" else 1) == want
+        rng = np.random.default_rng(seed)
+        assert sim._walk(cfg, *sim._trace_events(cfg, rng), rng, False)[:2] == want
 
 
 def test_edge_walk_bit_draws(monkeypatch):
@@ -1158,7 +1197,7 @@ def test_edge_walk_bit_draws(monkeypatch):
 # draw-ahead row is drawn in slices of trials that keep a float64 block
 # within _ROUND_ELEMENTS cells.  Drawing one round's bits at a time, the
 # walk made 181 calls that drew 30833 generator rows.
-EDGE_W200_DRAWS = (207, 2560)
+EDGE_W200_DRAWS = (209, 2657)
 
 # peak bytes that tracemalloc saw in run_monte_carlo before the kernel drew
 # bits ahead, per bench montecarlo job at its centre position, and jittered
@@ -1170,7 +1209,7 @@ PARENT_PEAK_MB = {
 
 @pytest.mark.parametrize("name", list(PARENT_PEAK_MB))
 def test_run_monte_carlo_peak_memory(name):
-    """The draw-ahead rows and chunks, held packed, and the rounds keep the
+    """The draw-ahead rows, held packed, and the rounds keep the
     peak within 2 MB of what the walk took before."""
     w, trials, kw = {
         "w200": (200, 300, {}),
