@@ -291,7 +291,12 @@ def _chain_from(cfg: dict) -> tuple[markov.AbsorbingChain, object, dict]:
         if subs is None:
             key = "sub_windows_percent_ui"
             pct = _list(cfg, key, _as_float, 3)
-            subs = jitter.sub_windows_to_steps(pct, _float(cfg, "step_percent_ui", 0.35))
+            step = _float(cfg, "step_percent_ui", 0.35)
+            try:
+                subs = jitter.sub_windows_to_steps(pct, step)
+            except OverflowError:
+                # a ratio past the float range rounds to no step count
+                raise ConfigError(f"{key} {pct} over step_percent_ui {step} overflows") from None
         width = sum(subs)
         _cap_chain(6 * (width - 1) + 2, f"{key} of {list(subs)} steps")
         chain = jitter.build_isi2_chain(*subs)

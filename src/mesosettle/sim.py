@@ -9,11 +9,12 @@ windows alone wherever no jittered crossing can reach the clock.
 lookup: each byte of packed bits, with the bits before it, picks a row of
 ``_GroupTables``, and a round's walk is a prefix sum over its bytes (Four
 Russians tables, Arlazarov et al. 1970, under a scan, Blelloch 1990).
-Only the group holding the escape, and a jittered group where a crossing
-could reach the clock, run a cycle at a time.  Every other trial (interior
-ISI-2 or collar crossings, RC lines) is a crossing-stream producer feeding
-``_walk``, which moves the clock one crossing at a time because each move
-depends on the position.
+A clean walk runs only the group holding the escape a cycle at a time.
+A jittered walk runs a round a cycle at a time from its first group that
+could escape or where a crossing could reach the clock.  Every other
+trial (interior ISI-2 or collar crossings, RC lines) is a crossing-stream
+producer feeding ``_walk``, which moves the clock one crossing at a time
+because each move depends on the position.
 Every trial draws on one schedule, in rows of ``_ROW0`` cycles growing
 fourfold up to ``_ROW_MAX``: a row's bits, then the normals of its
 crossings in cycle order, then, on a clean discrete trace, a fair coin
@@ -244,7 +245,9 @@ class TrialConfig:
         if not 0 < self.initial < width:
             raise ValueError("initial position must lie strictly inside the window")
         if coarse is not None and coarse.duration_cycles > 0:
-            if not (_is_edge_walk(self) and trace.order == 1 and len(pos) == 2):
+            # the latch holds a clean edge trace's turns: order 1, two crossings
+            clean = self.channel.sigma_steps is None
+            if not (clean and _is_edge_walk(self) and trace.order == 1 and len(pos) == 2):
                 raise ValueError("coarse acquisition supports clean two-crossing traces only")
 
     @property
@@ -493,18 +496,15 @@ def _walk(config: TrialConfig, events, start: int, w: int, rng, record: bool):
     return cycle, side, _trajectory(traj, s_r, w, side) if record else None
 
 
-def _is_edge_walk(config: TrialConfig, jittered: bool = False) -> bool:
+def _is_edge_walk(config: TrialConfig) -> bool:
     """Whether config's trials are edge walks: a degenerate window, or a
-    clean discrete trace whose every crossing sits on a window edge, so
-    that each cycle's move follows from its bit window alone.  With
-    jittered, a Gaussian-jittered trace on the edges counts too."""
+    discrete trace, clean or jittered, whose every crossing sits on a
+    window edge, so that each cycle's move follows from its bit window
+    alone wherever no jittered crossing can reach the clock."""
     if config.channel.kind == "rc_line":
         return False
     w = config.window.width_steps
-    return w == 0 or (
-        (jittered or config.channel.sigma_steps is None)
-        and set(config.channel.trace.crossing_positions) <= {0, w}
-    )
+    return w == 0 or set(config.channel.trace.crossing_positions) <= {0, w}
 
 
 class _GroupTables:
@@ -578,7 +578,10 @@ class _Jitter:
     trials[k], concatenated; a round draws those of its cycles, so the
     rounds of a row draw its normals in order.  A crossing at cross +
     sigma * z ties the clock with probability zero: a tie draws no coin
-    and moves the clock left, as c < p decides.
+    and moves the clock left, as c < p decides.  settle flags the event
+    groups of a round, where the table's decisions may not hold, and
+    _row runs each flagged row a cycle at a time from its first event
+    group to the escape or the round's end.
     """
 
     def __init__(self, config: TrialConfig, rngs, tab: _GroupTables):
@@ -595,10 +598,11 @@ class _Jitter:
 
     def settle(self, idx, begin, trials, n: int, path):
         """Draws a round's normals and yields (row, escape cycle in the
-        round or -1, side, shift of its end from the table's path) for
-        each row with an event group: one whose table path reaches an
-        edge, or where sigma * max|z| over its crossings reaches the
-        distance from that path to an edge."""
+        round or -1, side, end position) for each row with an event group:
+        one whose table path reaches an edge, or where sigma * max|z| over
+        its crossings reaches the distance from that path to an edge.  Up
+        to its first event group a row's table path is exact; from there
+        _row runs it a cycle at a time."""
         tab, g = self.tab, self.g
         count = tab.crossings(idx, n)
         # each group's first normal in z, which holds them row by row
@@ -606,53 +610,36 @@ class _Jitter:
         z = self.draw(trials, count.sum(axis=1))
         top = np.maximum.reduceat(np.abs(z), first.ravel()).reshape(count.shape)
         reach = self.sigma * np.where(count > 0, top, 0.0)
-
-        def events(r, shift):
-            # compared in float64, reach < q still implies sigma * |z| < q
-            # for the integer q, and g - reach > q that g + sigma * z > q
-            b, i = begin[r] + shift, idx[r]
-            safe = (reach[r] < b + tab.reach_lo[i]) & (float(g) - reach[r] > b + tab.reach_hi[i])
-            return (tab.lo[i] <= -b) | (tab.hi[i] >= g - b) | ~safe
-
-        flags = events(slice(None), 0)
-        for r in np.flatnonzero(flags.any(axis=1)).tolist():
+        # compared in float64, reach < q still implies sigma * |z| < q for
+        # the integer q, and g - reach > q that g + sigma * z > q
+        safe = (reach < begin + tab.reach_lo[idx]) & (float(g) - reach > begin + tab.reach_hi[idx])
+        flags = (tab.lo[idx] <= -begin) | (tab.hi[idx] >= g - begin) | ~safe
+        hit = np.flatnonzero(flags.any(axis=1))
+        for r, e in zip(hit.tolist(), flags[hit].argmax(axis=1).tolist()):
             yield r, *self._row(
-                idx[r], begin[r], flags[r], partial(events, r), z, first[r].tolist(), n,
+                idx[r, e:], e, int(begin[r, e]), z, int(first[r, e]), n,
                 path if r == 0 else None,
             )
 
-    def _row(self, idx, begin, flags, events, z, first, n: int, path):
-        """Groups run from the table up to each event group that flags
-        marks, which runs a cycle at a time with the real decisions, its
-        crossings at cross + sigma * z as _trace_events places them, z
-        from first[e] on for group e.  Once a group ends off the table
-        path, events(shift) flags the groups again along the path shifted
-        by shift.  path, when given, holds the table's positions per group
-        and cycle and takes the walk's.
-        """
-        tab, cross, sigma, g = self.tab, self.cross, self.sigma, self.g
-        shift, todo = 0, np.flatnonzero(flags).tolist()
-        while todo:
-            e = todo.pop(0)
-            top = int(begin[e])
-            p = top + shift
-            codes, k = tab.code[idx[e]].tolist(), first[e]
-            for j in range(min(8, n - 8 * e)):
-                if codes[j] >= 0:
-                    c = cross[codes[j]] + sigma * float(z[k])
+    def _row(self, idx, e: int, p: int, z, k: int, n: int, path):
+        """Runs a row a cycle at a time from its first event group e, which
+        starts at p, through the groups whose table rows idx holds, to the
+        escape or the round's end at cycle n.  Each decision is the real
+        one, c < p, with crossings at cross + sigma * z as _trace_events
+        places them, z from k on.  path, when given, holds the positions
+        per group and cycle and takes the walk's from group e on.  Returns
+        (escape cycle in the round or -1, side, end position)."""
+        cross, sigma, s_l, s_r, g = self.cross, self.sigma, self.s_l, self.s_r, self.g
+        for e, i in enumerate(idx.tolist(), e):
+            for j, c in enumerate(self.tab.code[i, : n - 8 * e].tolist(), 8 * e):
+                if c >= 0:
+                    p = p + s_r if cross[c] + sigma * z.item(k) < p else p - s_l
                     k += 1
-                    p = p + self.s_r if c < p else p - self.s_l
                 if path is not None:
-                    path[e, j] = p
+                    path.flat[j] = p
                 if p <= 0 or p >= g:
-                    return 8 * e + j, -1 if p <= 0 else 1, shift
-            moved = p - (top + int(tab.prefix[idx[e], j]))
-            if moved != shift:
-                if path is not None:
-                    path[e + 1 :] += moved - shift
-                shift = moved
-                todo = (e + 1 + np.flatnonzero(events(shift)[e + 1 :])).tolist()
-        return -1, 0, shift
+                    return j, -1 if p <= 0 else 1, p
+        return -1, 0, p
 
 
 def _edge_walks(config: TrialConfig, rngs, record: bool = False):
@@ -670,11 +657,12 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
     Each round looks up the _GroupTables row of every byte of the active
     trials' next bits and takes each trial's walk as a prefix sum over its
     groups.  The first group whose path reaches an edge holds the escape,
-    found inside it from the prefix table.  A jittered group runs from the
-    table unless sigma * max|z| over its crossings reaches the distance
-    from its path to an edge; such a group, like the escape group, runs a
-    cycle at a time with the real decisions.  While the coarse latch runs,
-    each cycle's turn comes from the table and the latest one is held
+    found inside it from the prefix table.  A jittered row runs from the
+    table up to its first event group: one whose path reaches an edge, or
+    where sigma * max|z| over its crossings reaches the distance from its
+    path to an edge.  From there it runs a cycle at a time with the real
+    decisions to the escape or the round's end.  While the coarse latch
+    runs, each cycle's turn comes from the table and the latest one is held
     through quiet cycles.  A round holds at most _ROUND_ELEMENTS cycles
     over all its rows, _CLEAN_ROUNDS times as many in a clean walk's fine
     phase; rows that escaped retire.  Returns escape cycles (-1 for none),
@@ -753,9 +741,8 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
             pos = begin[:, -1] + tab.prefix[idx[:, -1], last]
             path = begin[0, :, None] + tab.prefix[idx[0]] if record else None
             if jit:
-                for r, escape, exit_side, shift in jit.settle(idx, begin, rows, n, path):
-                    at[r], side[r] = escape, exit_side
-                    pos[r] += shift
+                for r, escape, exit_side, p in jit.settle(idx, begin, rows, n, path):
+                    at[r], side[r], pos[r] = escape, exit_side, p
             else:
                 # only a row whose groups start within span of an edge can escape
                 near = (begin.min(axis=1) <= tab.span) | (begin.max(axis=1) >= g - tab.span)
@@ -790,7 +777,7 @@ def _walks(config: TrialConfig, rngs, record: bool = False):
     """The one trial dispatcher: what _edge_walks returns, for one trial per
     generator.  Edge walks step together; every other trial walks its own
     crossing producer through _walk."""
-    if _is_edge_walk(config, jittered=True):
+    if _is_edge_walk(config):
         return _edge_walks(config, rngs, record)
     if config.channel.kind == "rc_line":
         # one modal system for the block; each trial starts it at rest

@@ -653,7 +653,7 @@ BIASED = {"schema_version": 1, "model": "biased", "width_steps": 40}
 MISMATCH = {"schema_version": 1, "technique": "mismatch", "width_steps": 40}
 TRAINING = {"schema_version": 1, "technique": "training", "width_steps": 12, "trials": 4}
 EYE = {"schema_version": 1, "channel": "benign", "bits_total": 60}
-# (command, config, a key the error must name)
+# (command, config, a key the error must name, or a tuple of them)
 KEYED_ERRORS = [
     ("simulate", simulate_cfg(source="explicit", pattern_bits=[0.5, 1.7, 0.9]), "pattern_bits"),
     ("simulate", simulate_cfg(source="explicit", pattern_bits=[True, False]), "pattern_bits"),
@@ -683,6 +683,10 @@ KEYED_ERRORS = [
      "sub_windows_steps"),
     ("analyze", {"schema_version": 1, "model": "isi2", "sub_windows_percent_ui": [1e10, 1, 1]},
      "sub_windows_percent_ui"),
+    # p / step_percent_ui overflows to inf, which no step count rounds to
+    ("analyze", {"schema_version": 1, "model": "isi2",
+                 "sub_windows_percent_ui": [1e308, 1, 1], "step_percent_ui": 1e-300},
+     ("sub_windows_percent_ui", "step_percent_ui")),
     ("analyze", {"schema_version": 1, "model": "gaussian", "sigma_steps": 2**70}, "sigma_steps"),
     ("analyze", {"schema_version": 1, "model": "gaussian", "sigma_steps": 1,
                  "truncation_sigmas": 2**70}, "truncation_sigmas"),
@@ -748,9 +752,6 @@ KEYED_ERRORS = [
         ("compare", {**MISMATCH, "mismatch_percent": 2**70}),
         ("compare", {**TRAINING, "mismatch_percent": 2**70}),
         ("simulate", simulate_cfg(source="explicit", pattern_bits=[0, 2])),
-        # p / step_percent_ui overflows to inf, which no step count rounds to
-        ("analyze", {"schema_version": 1, "model": "isi2",
-                     "sub_windows_percent_ui": [1e308, 1, 1], "step_percent_ui": 1e-300}),
         *[(command, cfg) for command, cfg, _ in KEYED_ERRORS],
     ],
     ids=[
@@ -799,7 +800,6 @@ KEYED_ERRORS = [
         "compare-mismatch-past-int64",
         "training-mismatch-past-int64",
         "simulate-pattern-two",
-        "isi2-sub-windows-percent-infinite",
         "simulate-pattern-floats",
         "simulate-pattern-bools",
         "eye-pattern-floats",
@@ -817,6 +817,7 @@ KEYED_ERRORS = [
         "biased-width-past-int64",
         "isi2-sub-windows-past-int64",
         "isi2-sub-windows-percent-past-cap",
+        "isi2-sub-windows-percent-infinite",
         "gaussian-sigma-past-int64",
         "gaussian-truncation-past-int64",
         "gaussian-product-infinite",
@@ -838,7 +839,7 @@ def test_bad_config_shape_exits_2(tmp_path, capsys, command, cfg):
         assert err == f"config error: initial position {start} is not a transient state\n"
     for keyed_command, keyed_cfg, key in KEYED_ERRORS:
         if (command, cfg) == (keyed_command, keyed_cfg):
-            assert key in err
+            assert all(k in err for k in (key if isinstance(key, tuple) else (key,)))
 
 
 # Wrong types, edge integers, non-finite numbers, lists and mappings.  No

@@ -932,8 +932,10 @@ def batch_results(res):
 
 
 def test_edge_cases_are_batched():
+    """The clean edge cases, and jitter-long, a jittered trace on the edges."""
     cases = walk_stream_cases()
-    assert [name for name, cfg in cases.items() if sim._is_edge_walk(cfg)] == EDGE_CASES
+    edge = [name for name, cfg in cases.items() if sim._is_edge_walk(cfg)]
+    assert edge == [*EDGE_CASES, "jitter-long"]
 
 
 def batch_cases():
@@ -1084,7 +1086,7 @@ def test_edge_kernel_matches_oracle(cfg, batch, record, seed):
     """The table kernel walks every edge trial as the cycle-at-a-time
     oracle does: escape cycle, side and, for a trial of its own, the
     trajectory; in a batch of two blocks, the trials at each block's ends."""
-    assert sim._is_edge_walk(cfg, jittered=True)
+    assert sim._is_edge_walk(cfg)
     if batch == 1:
         res = run_trial(cfg, (seed, 0), record)
         got = (res.escape_cycle if res.escaped else -1,
@@ -1170,6 +1172,31 @@ def test_oracle_and_kernels_agree_past_the_first_rows():
         assert (res.escape_cycle, -1 if res.exit_side == "left" else 1) == want
         rng = np.random.default_rng(seed)
         assert sim._walk(cfg, *sim._trace_events(cfg, rng), rng, False)[:2] == want
+
+
+@pytest.mark.parametrize("mismatch", [0, 10])
+def test_wide_jitter_runs_a_round_a_cycle_at_a_time(mismatch):
+    """At sigma 3 steps in a width of 40, jitter reaches the clock from
+    much of the window, so rounds often run a cycle at a time from an event
+    group on, and the rest of such a round leaves the table's path.  Each
+    trial of the batched kernel still walks as _walk does over the same
+    stream, and so does a recorded trajectory."""
+    cfg = TrialConfig(
+        channel=ChannelModel.discrete(isi1_trace(40), 3.0),
+        source=BitSource.bernoulli(0.5),
+        window=WindowSpec(40),
+        initial_position=20,
+        mismatch_percent=mismatch,
+    )
+    trials, base = 300, 27
+    res = run_monte_carlo(cfg, trials, base)
+    for k, got in enumerate(batch_results(res)):
+        rng = np.random.default_rng(sim._trial_seed(base, k))
+        assert sim._walk(cfg, *sim._trace_events(cfg, rng), rng, False)[:2] == got, k
+    rng = np.random.default_rng(4)
+    want = sim._walk(cfg, *sim._trace_events(cfg, rng), rng, True)[2]
+    assert want.size > 100
+    assert np.array_equal(run_trial(cfg, 4, record=True).trajectory, want)
 
 
 def test_edge_walk_bit_draws(monkeypatch):
