@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from itertools import product
 
 import numpy as np
 from scipy.sparse import coo_array
@@ -128,6 +128,8 @@ class IsiTraceModel:
     spells i in binary, oldest bit highest, or -1 for none.  ISI-1 keys are
     (previous, current, next) bits and ISI-2 keys a packed three-bit history
     plus the next bit, so reading a key as binary digits gives its window.
+    A key of any other shape, or a label other than A, B, ... up to one per
+    crossing position, raises ValueError.
     """
 
     order: int
@@ -141,10 +143,18 @@ class IsiTraceModel:
         pos = self.crossing_positions
         if any(b <= a for a, b in zip(pos, pos[1:])):
             raise ValueError("crossing positions must be strictly increasing")
-        codes = np.full(2 ** (self.order + 2), -1, dtype=np.int8)
+        digits = [range(2)] * 3 if self.order == 1 else [range(8), range(2)]
+        windows = {key: i for i, key in enumerate(product(*digits))}
+        labels = {None: -1, **{label: i for i, label in enumerate("ABCD"[: len(pos)])}}
+        codes = np.full(len(windows), -1, dtype=np.int8)
         for key, label in self.transition_table.items():
-            if label is not None:
-                codes[reduce(lambda hi, lo: 2 * hi + lo, key)] = "ABCD".index(label)
+            if key not in windows:
+                raise ValueError(
+                    f"transition_table key {key!r} spells no window of {self.order + 2} bits"
+                )
+            if label not in labels:
+                raise ValueError(f"transition_table label {label!r} of key {key!r} is no crossing")
+            codes[windows[key]] = labels[label]
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
 

@@ -1,29 +1,29 @@
 """Behavioral Monte Carlo of the retiming loop plus waveform utilities.
 
 Every trial runs through one dispatcher, ``_walks``, one generator per
-trial.  An edge walk -- a discrete trace whose every crossing sits on a
-window edge, clean or Gaussian-jittered, with or without mismatch or the
-coarse-acquisition latch, fed by any bit source -- moves by its bit
-windows alone wherever no jittered crossing can reach the clock.
-``_edge_walks`` steps a batch of them together, eight cycles per table
-lookup: each byte of packed bits, with the bits before it, picks a row of
-``_GroupTables``, and a round's walk is a prefix sum over its bytes (Four
-Russians tables, Arlazarov et al. 1970, under a scan, Blelloch 1990).
-A clean walk runs only the group holding the escape a cycle at a time.
-A jittered walk runs a round a cycle at a time from its first group that
-could escape or where a crossing could reach the clock.  Every other
-trial (interior ISI-2 or collar crossings, RC lines) is a crossing-stream
-producer feeding ``_walk``, which moves the clock one crossing at a time
-because each move depends on the position.
+trial.  Trials of a discrete trace -- clean or Gaussian-jittered, with or
+without mismatch or the coarse-acquisition latch, fed by any bit source
+-- go to ``_table_walks``, which steps a batch of them together, eight
+cycles per table lookup: each byte of packed bits, with the bits before
+it, picks a row of ``_GroupTables``, and a round's walk is a prefix sum
+over its bytes (Four Russians tables, Arlazarov et al. 1970, under a
+scan, Blelloch 1990).  A group's table moves hold while its crossings
+sit on the window edges and no jittered one can reach the clock.  A
+clean edge walk runs only the group holding the escape a cycle at a
+time.  Any other trial runs a round a crossing at a time from its first
+event group: one that could escape, holds a crossing inside the window
+(ISI-2's sub-windows, a collar), or where a jittered crossing could
+reach the clock.  An RC line is a crossing-stream producer feeding
+``_walk``, which moves the clock one crossing at a time because each
+move depends on the position.
 Every trial draws on one schedule, in rows of ``_ROW0`` cycles growing
 fourfold up to ``_ROW_MAX``: a row's bits, then the normals of its
 crossings in cycle order, then, on a clean discrete trace, a fair coin
 per tie.  A jittered crossing lies on a continuous axis, so it ties the
 clock with probability zero: it draws no coin, and ``c < p`` decides.
-Both kernels keep this order, so a trial's stream does not depend on
-which kernel walks it, nor on how a batch splits into rounds.  An edge
-walk draws each row ahead and holds it packed; ``_walk`` asks its
-producer for a row at a time, so an RC trial, which mostly escapes
+So a trial's stream does not depend on how a batch splits into rounds.
+A table walk draws each row ahead and holds it packed; ``_walk`` asks
+its producer for a row at a time, so an RC trial, which mostly escapes
 within a few cycles, synthesizes few UIs.
 The ladder's modal system is built once per ``_walks`` call, and each RC
 trial starts its own copy at rest.  ``run_monte_carlo`` sends
@@ -45,7 +45,7 @@ import threading
 from contextlib import contextmanager
 from copy import copy
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,9 +76,9 @@ TRAINING_PATTERN: tuple[int, ...] = (0, 0, 1, 0, 0, 1, 1, 1)
 # rows grow fourfold
 _ROW0 = 16
 _ROW_MAX = 4096
-# trials seeded together (and edge walks stepped together), the (trial,
-# cycle) cells of one edge-walk round, and the multiple of them in a round
-# of a clean walk's fine phase
+# trials seeded together (and table walks stepped together), the (trial,
+# cycle) cells of one table-walk round, and the multiple of them in a round
+# of a clean edge walk's fine phase
 _BLOCK_TRIALS = 512
 _ROUND_ELEMENTS = 1 << 15
 _CLEAN_ROUNDS = 4
@@ -245,9 +245,9 @@ class TrialConfig:
         if not 0 < self.initial < width:
             raise ValueError("initial position must lie strictly inside the window")
         if coarse is not None and coarse.duration_cycles > 0:
-            # the latch holds a clean edge trace's turns: order 1, two crossings
+            # the latch holds the turns of a clean order-1 trace crossing on both edges
             clean = self.channel.sigma_steps is None
-            if not (clean and _is_edge_walk(self) and trace.order == 1 and len(pos) == 2):
+            if not (clean and trace.order == 1 and tuple(pos) == (0, width)):
                 raise ValueError("coarse acquisition supports clean two-crossing traces only")
 
     @property
@@ -413,31 +413,6 @@ def _windows(seq: np.ndarray, ctx: int) -> np.ndarray:
     return key.astype(np.intp)
 
 
-def _trace_events(config: TrialConfig, rng: np.random.Generator):
-    """Crossing producer of a discrete trace, with start and width in steps:
-    codes read off one trial's bit stream, jittered by sigma_steps if set."""
-    trace = config.channel.trace
-    s_r = config._substeps[1]
-    cross = np.asarray(trace.crossing_positions) * s_r
-    sigma = (config.channel.sigma_steps or 0.0) * s_r
-    bits = _BitStreams(config.source, [rng])
-    ctx = trace.order + 1
-    tail = bits.take(ctx)
-
-    def events(n: int) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal tail
-        seq = np.concatenate([tail, bits.take(n)], axis=1)
-        tail = seq[:, -ctx:]
-        code = trace.codes[_windows(seq, ctx)[0]]
-        t = np.flatnonzero(code >= 0)
-        c = cross[code[t]]
-        if sigma:
-            c = c + sigma * rng.standard_normal(t.size)
-        return t, c
-
-    return events, config.initial, config.window.width_steps
-
-
 def _trajectory(pieces, s_r: int, w: int, side: int) -> np.ndarray:
     """Position in steps after each cycle, from the per-row positions in
     sub-steps; an escaped walk ends on the edge it left by."""
@@ -447,22 +422,18 @@ def _trajectory(pieces, s_r: int, w: int, side: int) -> np.ndarray:
     return trajectory
 
 
-def _walk(config: TrialConfig, events, start: int, w: int, rng, record: bool):
-    """The phase-detector walk over a crossing stream, one crossing at a time.
+def _walk(config: TrialConfig, events, start: int, w: int, record: bool):
+    """The phase-detector walk of an RC line, one crossing at a time.
 
     events(n) gives the crossings of the next n cycles as cycle indices t
     (-1 for a crossing just before the row) and positions c in sub-steps,
-    drawing the row's bits and then its normals; a crossing left of the
-    clock moves it s_r sub-steps right and any other s_l sub-steps left,
-    but on a clean discrete trace a tie draws a fair coin after the row's
-    bits.  The walk starts start steps into a window of w whose edges
-    absorb, asks for rows of _ROW0 cycles growing fourfold up to _ROW_MAX,
-    and returns one row of _edge_walks.  Only walks whose moves depend on
-    the position everywhere come here: traces with interior crossings
-    (ISI-2, a collar), jittered or not, and RC lines.
+    drawing the row's bits; a crossing left of the clock moves it s_r
+    sub-steps right and any other s_l sub-steps left.  The walk starts
+    start steps into a window of w whose edges absorb, asks for rows of
+    _ROW0 cycles growing fourfold up to _ROW_MAX, and returns one row of
+    _table_walks.
     """
     s_l, s_r = config._substeps
-    coin = config.channel.kind == "discrete_trace" and config.channel.sigma_steps is None
     g, pos = w * s_r, start * s_r
     traj = [np.array([pos], dtype=float)] if record else None
     base, cycle, side, row = 0, -1, 0, _ROW0
@@ -471,10 +442,7 @@ def _walk(config: TrialConfig, events, start: int, w: int, rng, record: bool):
         t, c = events(n)
         steps, p = [], pos
         for ck in c.tolist():
-            if ck < p or (ck == p and coin and rng.random() < 0.5):
-                p += s_r
-            else:
-                p -= s_l
+            p = p + s_r if ck < p else p - s_l
             steps.append(p)
             if p <= 0 or p >= g:
                 break
@@ -496,31 +464,22 @@ def _walk(config: TrialConfig, events, start: int, w: int, rng, record: bool):
     return cycle, side, _trajectory(traj, s_r, w, side) if record else None
 
 
-def _is_edge_walk(config: TrialConfig) -> bool:
-    """Whether config's trials are edge walks: a degenerate window, or a
-    discrete trace, clean or jittered, whose every crossing sits on a
-    window edge, so that each cycle's move follows from its bit window
-    alone wherever no jittered crossing can reach the clock."""
-    if config.channel.kind == "rc_line":
-        return False
-    w = config.window.width_steps
-    return w == 0 or set(config.channel.trace.crossing_positions) <= {0, w}
-
-
 class _GroupTables:
-    """What each group of eight cycles does to an edge walk, by table row.
+    """What each group of eight cycles does to a walk, by table row.
 
     Row i is a group whose bits read i in binary, oldest bit highest: the
     ctx bits before the group, then its byte of packed bits, so cycle j
     reads the window (i >> (7 - j)) & (2**(ctx + 1) - 1).  Per row and
     cycle: code, the crossing index or -1; turn, +1 for a crossing on the
-    left edge (the clock moves right), -1 on the right edge, 0 for none;
+    left edge (the clock moves right), -1 for any other, 0 for none;
     prefix, the position after the cycle less the group's start, in
     sub-steps, with its running minimum low and maximum high.  Per row:
-    net, the move of the whole group; lo and hi, its extremes; and reach_lo
-    and reach_hi, the extremes of the clock before each cycle.  A prefix
-    saturates at +-g, which escapes from every start in the window.
-    crossed counts the crossings up to each cycle, and span bounds |prefix|.
+    net, the move of the whole group; lo and hi, its extremes; reach_lo
+    and reach_hi, the extremes of the clock before each cycle; and inner,
+    whether a crossing lies strictly inside the window, where its move
+    depends on the clock and turn does not hold.  A prefix saturates at
+    +-g, which escapes from every start in the window.  crossed counts the
+    crossings up to each cycle, and span bounds |prefix|.
     """
 
     def __init__(self, codes: bytes, positions: tuple, s_l: int, s_r: int, g: int):
@@ -528,8 +487,11 @@ class _GroupTables:
         self.ctx = codes.size.bit_length() - 2
         i = np.arange(256 << self.ctx)
         self.code = codes[(i[:, None] >> (7 - np.arange(8))) & ((2 << self.ctx) - 1)]
+        self.cross = np.asarray(positions) * s_r
+        x = self.cross[self.code]
         # a crossing on the left edge lies left of every interior clock
-        left = np.asarray(positions)[self.code] <= 0
+        left = x <= 0
+        self.inner = ((self.code >= 0) & ~left & (x < g)).any(axis=1)
         self.turn = np.where(self.code < 0, 0, np.where(left, 1, -1))
         move = np.where(self.turn > 0, min(s_r, g), np.where(self.turn < 0, -min(s_l, g), 0))
         self.prefix = np.empty_like(move)
@@ -548,6 +510,12 @@ class _GroupTables:
         self.crossed = np.cumsum(self.code >= 0, axis=1)
         self.span = int(max(-self.lo.min(), self.hi.max()))
 
+    @cached_property
+    def crossing_list(self) -> list:
+        """Per row, its crossings' (cycle, sub-step position) pairs, shared across rows."""
+        pairs = [[(j, c) for c in self.cross.tolist()] for j in range(8)]
+        return [[pairs[j][c] for j, c in enumerate(row) if c >= 0] for row in self.code.tolist()]
+
     def index(self, prev: np.ndarray, byts: np.ndarray) -> np.ndarray:
         """(trials, groups) table rows of each trial's bytes, prev holding
         the ctx bits before its first byte."""
@@ -559,37 +527,33 @@ class _GroupTables:
         """The ctx bits up to cycle j of the groups in rows last."""
         return (last >> (7 - j)) & ((1 << self.ctx) - 1)
 
-    def crossings(self, idx: np.ndarray, n: int) -> np.ndarray:
-        """Crossings per group of rows idx, over the first n of their cycles."""
-        count = self.crossed[idx, 7]
-        count[:, -1] = self.crossed[idx[:, -1], (n - 1) % 8]
-        return count
-
 
 # the tables of the last few (codes, crossing positions, s_l, s_r, g)
 _group_tables = lru_cache(maxsize=4)(_GroupTables)
 
 
-class _Jitter:
-    """The Gaussian draws and jittered decisions of a batch of edge walks.
+class _Events:
+    """The event groups of a batch of walks that the tables alone do not
+    step: jittered ones, and those of a trace crossing inside the window.
 
-    A trial draws a row's normals after its bits, one per crossing in
-    cycle order.  draw(trials, counts) gives counts[k] normals of trial
-    trials[k], concatenated; a round draws those of its cycles, so the
-    rounds of a row draw its normals in order.  A crossing at cross +
-    sigma * z ties the clock with probability zero: a tie draws no coin
-    and moves the clock left, as c < p decides.  settle flags the event
-    groups of a round, where the table's decisions may not hold, and
-    _row runs each flagged row a cycle at a time from its first event
-    group to the escape or the round's end.
+    A jittered trial draws a row's normals after its bits, one per
+    crossing in cycle order.  draw(trials, counts) gives counts[k] normals
+    of trial trials[k], concatenated; a round draws those of its cycles,
+    so the rounds of a row draw its normals in order.  A crossing at its
+    position + sigma * z ties the clock with probability zero: a tie draws
+    no coin and moves the clock left, as c < p decides.  A clean crossing
+    that ties the clock draws the trial's fair coin, after its row's bits.
+    settle flags the event groups of a round, where the table's decisions
+    may not hold, and _row runs each flagged row a crossing at a time from
+    its first event group to the escape or the round's end.
     """
 
     def __init__(self, config: TrialConfig, rngs, tab: _GroupTables):
         self.rngs, self.tab = rngs, tab
         self.s_l, self.s_r = config._substeps
         self.g = config.window.width_steps * self.s_r
-        self.sigma = config.channel.sigma_steps * self.s_r
-        self.cross = (np.asarray(config.channel.trace.crossing_positions) * self.s_r).tolist()
+        self.sigma = (config.channel.sigma_steps or 0.0) * self.s_r
+        self.interior = bool(tab.inner.any())
 
     def draw(self, trials: np.ndarray, counts: np.ndarray) -> np.ndarray:
         parts = [self.rngs[k].standard_normal(c) for k, c in zip(trials.tolist(), counts.tolist())]
@@ -597,77 +561,102 @@ class _Jitter:
         return np.concatenate(parts)
 
     def settle(self, idx, begin, trials, n: int, path):
-        """Draws a round's normals and yields (row, escape cycle in the
-        round or -1, side, end position) for each row with an event group:
-        one whose table path reaches an edge, or where sigma * max|z| over
-        its crossings reaches the distance from that path to an edge.  Up
-        to its first event group a row's table path is exact; from there
-        _row runs it a cycle at a time."""
+        """Draws a jittered round's normals and yields (row, escape cycle
+        in the round or -1, side, end position) for each row with an event
+        group: one whose table path reaches an edge, that holds a crossing
+        inside the window, or where sigma * max|z| over its crossings
+        reaches the distance from that path to an edge.  Up to its first
+        event group a row's table path is exact; from there _row runs it a
+        crossing at a time."""
         tab, g = self.tab, self.g
-        count = tab.crossings(idx, n)
-        # each group's first normal in z, which holds them row by row
-        first = (np.cumsum(count) - count.ravel()).reshape(count.shape)
-        z = self.draw(trials, count.sum(axis=1))
-        top = np.maximum.reduceat(np.abs(z), first.ravel()).reshape(count.shape)
-        reach = self.sigma * np.where(count > 0, top, 0.0)
-        # compared in float64, reach < q still implies sigma * |z| < q for
-        # the integer q, and g - reach > q that g + sigma * z > q
-        safe = (reach < begin + tab.reach_lo[idx]) & (float(g) - reach > begin + tab.reach_hi[idx])
-        flags = (tab.lo[idx] <= -begin) | (tab.hi[idx] >= g - begin) | ~safe
+        flags = (tab.lo[idx] <= -begin) | (tab.hi[idx] >= g - begin)
+        if self.interior:
+            flags |= tab.inner[idx]
+        z = first = None
+        if self.sigma:
+            # crossings per group, over the round's n cycles
+            count = tab.crossed[idx, 7]
+            count[:, -1] = tab.crossed[idx[:, -1], (n - 1) % 8]
+            # each group's first normal in z, which holds them row by row
+            first = (np.cumsum(count) - count.ravel()).reshape(count.shape)
+            z = self.draw(trials, count.sum(axis=1))
+            top = np.maximum.reduceat(np.abs(z), first.ravel()).reshape(count.shape)
+            reach = self.sigma * np.where(count > 0, top, 0.0)
+            # compared in float64, reach < q still implies sigma * |z| < q for
+            # the integer q, and g - reach > q that g + sigma * z > q
+            safe = reach < begin + tab.reach_lo[idx]
+            safe &= float(g) - reach > begin + tab.reach_hi[idx]
+            flags |= ~safe
         hit = np.flatnonzero(flags.any(axis=1))
         for r, e in zip(hit.tolist(), flags[hit].argmax(axis=1).tolist()):
             yield r, *self._row(
-                idx[r, e:], e, int(begin[r, e]), z, int(first[r, e]), n,
-                path if r == 0 else None,
+                idx[r, e:], e, int(begin[r, e]), z, 0 if z is None else int(first[r, e]), n,
+                self.rngs[trials[r]], path if r == 0 else None,
             )
 
-    def _row(self, idx, e: int, p: int, z, k: int, n: int, path):
-        """Runs a row a cycle at a time from its first event group e, which
-        starts at p, through the groups whose table rows idx holds, to the
-        escape or the round's end at cycle n.  Each decision is the real
-        one, c < p, with crossings at cross + sigma * z as _trace_events
-        places them, z from k on.  path, when given, holds the positions
-        per group and cycle and takes the walk's from group e on.  Returns
-        (escape cycle in the round or -1, side, end position)."""
-        cross, sigma, s_l, s_r, g = self.cross, self.sigma, self.s_l, self.s_r, self.g
+    def _row(self, idx, e: int, p: int, z, k: int, n: int, rng, path):
+        """Runs a row a crossing at a time from its first event group e,
+        which starts at p, through the groups whose table rows idx holds,
+        to the escape or the round's end at cycle n.  Each decision is the
+        real one, c < p: a jittered crossing lies at its position + sigma *
+        z, z from k on, and a clean tie c == p takes a fair coin from rng.
+        path, when given, holds the positions per cycle and takes the
+        walk's from group e on.  Returns (escape cycle in the round or -1,
+        side, end position)."""
+        crossing_list, sigma = self.tab.crossing_list, self.sigma
+        s_l, s_r, g = self.s_l, self.s_r, self.g
+        done = 8 * e  # path holds the walk's positions before cycle done
         for e, i in enumerate(idx.tolist(), e):
-            for j, c in enumerate(self.tab.code[i, : n - 8 * e].tolist(), 8 * e):
-                if c >= 0:
-                    p = p + s_r if cross[c] + sigma * z.item(k) < p else p - s_l
+            base, crossings = 8 * e, crossing_list[i]
+            if base + 8 > n:
+                # the round ends inside the group
+                crossings = crossings[: self.tab.crossed[i, n - 1 - base]]
+            for j, c in crossings:
+                if sigma:
+                    right = c + sigma * z.item(k) < p
                     k += 1
+                else:
+                    right = c < p or (c == p and rng.random() < 0.5)
                 if path is not None:
-                    path.flat[j] = p
+                    path[done : base + j] = p
+                    done = base + j
+                p = p + s_r if right else p - s_l
                 if p <= 0 or p >= g:
-                    return j, -1 if p <= 0 else 1, p
+                    if path is not None:
+                        path[base + j] = p
+                    return base + j, -1 if p <= 0 else 1, p
+        if path is not None:
+            path[done:n] = p
         return -1, 0, p
 
 
-def _edge_walks(config: TrialConfig, rngs, record: bool = False):
-    """Edge walks of one config, one trial per generator, stepped together
-    eight cycles per table lookup.
+def _table_walks(config: TrialConfig, rngs, record: bool = False):
+    """Trials of one discrete-trace config, one per generator, stepped
+    together eight cycles per table lookup.
 
     Trial k draws from its own generator rngs[k] (a block of _trial_rngs,
     or run_trial's default_rng), in a fixed order: the pattern phase, the
     ctx bits, the coarse coin, then its bits a row at a time, rows of
     _ROW0 cycles growing fourfold to _ROW_MAX, drawn ahead and held
-    packed; a jittered trial draws each row's normals after its bits
-    (_Jitter).  So no trial depends on the others in its batch, and each
-    draws what _walk would draw for it.
+    packed; a jittered trial draws each row's normals after its bits, and
+    a clean one its tie coins (_Events).  So no trial depends on the
+    others in its batch.
 
     Each round looks up the _GroupTables row of every byte of the active
     trials' next bits and takes each trial's walk as a prefix sum over its
-    groups.  The first group whose path reaches an edge holds the escape,
-    found inside it from the prefix table.  A jittered row runs from the
-    table up to its first event group: one whose path reaches an edge, or
-    where sigma * max|z| over its crossings reaches the distance from its
-    path to an edge.  From there it runs a cycle at a time with the real
-    decisions to the escape or the round's end.  While the coarse latch
-    runs, each cycle's turn comes from the table and the latest one is held
-    through quiet cycles.  A round holds at most _ROUND_ELEMENTS cycles
-    over all its rows, _CLEAN_ROUNDS times as many in a clean walk's fine
-    phase; rows that escaped retire.  Returns escape cycles (-1 for none),
-    exit sides (-1 left, +1 right, 0 none) and, when record is set on a
-    batch of one, the trajectory in steps.
+    groups.  On a clean trace crossing on the window edges alone, the first
+    group whose path reaches an edge holds the escape, found inside it from
+    the prefix table.  Any other row runs from the table up to its first
+    event group: one whose path reaches an edge, that holds a crossing
+    inside the window, or where sigma * max|z| over its crossings reaches
+    the distance from its path to an edge.  From there it runs a crossing
+    at a time with the real decisions to the escape or the round's end.
+    While the coarse latch runs, each cycle's turn comes from the table and
+    the latest one is held through quiet cycles.  A round holds at most
+    _ROUND_ELEMENTS cycles over all its rows, _CLEAN_ROUNDS times as many
+    in a clean edge walk's fine phase; rows that escaped retire.  Returns
+    escape cycles (-1 for none), exit sides (-1 left, +1 right, 0 none)
+    and, when record is set on a batch of one, the trajectory in steps.
     """
     cycles = np.full(len(rngs), -1, dtype=np.int64)
     sides = np.zeros(len(rngs), dtype=np.int8)
@@ -680,7 +669,7 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
     s_l, s_r = config._substeps
     g = w * s_r
     tab = _group_tables(trace.codes.tobytes(), trace.crossing_positions, s_l, s_r, g)
-    jit = config.channel.sigma_steps and _Jitter(config, rngs, tab)
+    events = _Events(config, rngs, tab) if config.channel.sigma_steps or tab.inner.any() else None
     coarse = config.coarse_first
     latch = min(coarse.duration_cycles, config.max_cycles) if coarse is not None else 0
 
@@ -704,10 +693,12 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
             buf = np.packbits(np.unpackbits(buf, axis=1)[:, base - start :], axis=1)
             start = base
         latched = base < latch
-        # a latched round holds a cell per cycle, and a jittered one draws the
-        # normals of all its cycles, also past an escape: only a clean fine
-        # round, a table row per eight cycles, takes _CLEAN_ROUNDS times as many
-        cells = _ROUND_ELEMENTS if latched or jit else _CLEAN_ROUNDS * _ROUND_ELEMENTS
+        # a latched round holds a cell per cycle, a jittered one draws the
+        # normals of all its cycles, also past an escape, and a flagged row
+        # runs a crossing at a time to the round's end: only a clean edge
+        # walk's fine round, a table row per eight cycles, takes
+        # _CLEAN_ROUNDS times as many
+        cells = _ROUND_ELEMENTS if latched or events else _CLEAN_ROUNDS * _ROUND_ELEMENTS
         n = min(
             end - base,
             (latch if latched else config.max_cycles) - base,
@@ -739,9 +730,9 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
             begin -= net
             begin += pos[:, None]
             pos = begin[:, -1] + tab.prefix[idx[:, -1], last]
-            path = begin[0, :, None] + tab.prefix[idx[0]] if record else None
-            if jit:
-                for r, escape, exit_side, p in jit.settle(idx, begin, rows, n, path):
+            path = (begin[0, :, None] + tab.prefix[idx[0]]).ravel() if record else None
+            if events:
+                for r, escape, exit_side, p in events.settle(idx, begin, rows, n, path):
                     at[r], side[r], pos[r] = escape, exit_side, p
             else:
                 # only a row whose groups start within span of an edge can escape
@@ -758,7 +749,6 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
                 side[hit] = np.where(lo_at < hi_at, -1, 1)
                 # an escape past cycle n lies in the padding of the last byte
                 at[at >= n] = -1
-            path = path.ravel() if record else None
         if record:
             traj.append(path[: at[0] + 1 if at[0] >= 0 else n])
         base += n
@@ -774,17 +764,16 @@ def _edge_walks(config: TrialConfig, rngs, record: bool = False):
 
 
 def _walks(config: TrialConfig, rngs, record: bool = False):
-    """The one trial dispatcher: what _edge_walks returns, for one trial per
-    generator.  Edge walks step together; every other trial walks its own
-    crossing producer through _walk."""
-    if _is_edge_walk(config):
-        return _edge_walks(config, rngs, record)
-    if config.channel.kind == "rc_line":
-        # one modal system for the block; each trial starts it at rest
-        produce = partial(_rc_line_events, line=_RcLine(config.channel))
-    else:
-        produce = _trace_events
-    cycles, sides, trajs = zip(*(_walk(config, *produce(config, r), r, record) for r in rngs))
+    """The one trial dispatcher: what _table_walks returns, for one trial
+    per generator.  Trials of a discrete trace step together in
+    _table_walks; those of an RC line walk one at a time, each through its
+    own crossing producer and _walk."""
+    if config.channel.kind == "discrete_trace":
+        return _table_walks(config, rngs, record)
+    # one modal system for the block; each trial starts it at rest
+    line = _RcLine(config.channel)
+    walks = (_walk(config, *_rc_line_events(config, r, line), record) for r in rngs)
+    cycles, sides, trajs = zip(*walks)
     return np.array(cycles, dtype=np.int64), np.array(sides, dtype=np.int8), trajs[-1]
 
 

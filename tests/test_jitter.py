@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from mesosettle.jitter import (
     ISI2_TAGS,
     CombinedJitterSpec,
     GaussianJitterSpec,
+    IsiTraceModel,
     WindowSpec,
     _crossing_walk,
     build_biased_chain,
@@ -80,6 +82,25 @@ def test_trace_models():
     assert t2.crossing_of("C") == 66.0
     with pytest.raises(ValueError):
         isi2_trace(0, 43, 20)
+
+
+@pytest.mark.parametrize(
+    "order, table, message",
+    [
+        # one label past the two crossing positions, one past A-D
+        (1, {(0, 1, 0): "C"}, "label 'C' of key (0, 1, 0)"),
+        (1, {(0, 1, 0): "E"}, "label 'E' of key (0, 1, 0)"),
+        (1, {(0, 1, 0): "AB"}, "label 'AB' of key (0, 1, 0)"),
+        # keys that read as windows 4 and 5 of order 1 by their digits
+        (1, {(0, 1, 2): "A"}, "key (0, 1, 2) spells no window of 3 bits"),
+        (1, {(0, 1, 0, 1): "A"}, "key (0, 1, 0, 1) spells no window of 3 bits"),
+        (2, {(8, 1): "A"}, "key (8, 1) spells no window of 4 bits"),
+        (2, {(0, 1, 0): None}, "key (0, 1, 0) spells no window of 4 bits"),
+    ],
+)
+def test_trace_model_rejects_a_table_it_cannot_place(order, table, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        IsiTraceModel(order=order, crossing_positions=(0.0, 10.0), transition_table=table)
 
 
 def test_window_spec_validation():

@@ -840,25 +840,29 @@ def test_windows_match_convolution_decode(ctx):
         assert np.array_equal(row, np.convolve(seq, weights, "valid"))
 
 
-# ------------------------------------------------------------ edge batches
+# ---------------------------------------------------------------- batches
 
 EDGE_CASES = ["isi1", "isi1-mismatch", "periodic", "coarse-short", "coarse-long"]
 
 
-def edge_walk_oracle(cfg, seed, record=False):
-    """(escape cycle, side) of one edge walk, stepped one cycle and one
+def walk_oracle(cfg, seed, record=False):
+    """(escape cycle, side) of one discrete trial, stepped one cycle and one
     bit draw at a time; -1 and 0 for a trial that does not escape.  With
     record, the trajectory in steps follows, ending on the edge it left by.
+    seed may also be a TieRng, which the trial then draws from.
 
-    A cycle reads the trace.order + 1 bits before it and its own bit.  A
-    jittered walk draws its bits a row at a time, sim._ROW0 cycles and
-    then four times as many up to sim._ROW_MAX, each row followed by the
-    normals of its crossings; a tie moves the clock left and draws nothing.
+    A cycle reads the trace.order + 1 bits before it and its own bit, and a
+    crossing left of the clock moves it right.  The walk draws its bits a
+    row at a time, sim._ROW0 cycles and then four times as many up to
+    sim._ROW_MAX.  A jittered walk draws each row's normals after its bits,
+    and a tie moves the clock left and draws nothing; a clean crossing on
+    the clock draws a fair coin when the walk reaches it, after its row's
+    bits.
     """
     w = cfg.window.width_steps
     if w == 0:
         return (0, -1, np.zeros(1)) if record else (0, -1)
-    rng = np.random.default_rng(seed)
+    rng = seed if isinstance(seed, TieRng) else np.random.default_rng(seed)
     src, trace = cfg.source, cfg.channel.trace
     s_l, s_r = cfg._substeps
     sigma = cfg.channel.sigma_steps
@@ -892,24 +896,27 @@ def edge_walk_oracle(cfg, seed, record=False):
     path = [pos]
     row, queue, normals = sim._ROW0, [], []
     for cycle in range(cfg.max_cycles):
-        if sigma and not queue:
+        if not queue:
             queue = [bit() for _ in range(min(row, cfg.max_cycles - cycle))]
-            seq = (*history, *queue)
-            count = sum(label(seq[j : j + len(history) + 1]) is not None for j in range(len(queue)))
-            normals = rng.standard_normal(count).tolist()
+            if sigma:
+                seq = (*history, *queue)
+                count = sum(
+                    label(seq[j : j + len(history) + 1]) is not None for j in range(len(queue))
+                )
+                normals = rng.standard_normal(count).tolist()
             row = min(4 * row, sim._ROW_MAX)
-        window = (*history, queue.pop(0) if sigma else bit())
+        window = (*history, queue.pop(0))
         history = window[1:]
         lab = label(window)
-        edge = None if lab is None else trace.crossing_of(lab) * s_r
+        c = None if lab is None else trace.crossing_of(lab) * s_r
         if cycle < latch:
-            held = (1 if edge == 0 else -1) if lab is not None else held
+            held = (1 if c == 0 else -1) if lab is not None else held
             pos += held * coarse.coarse_step_steps * s_r
         elif lab is not None:
             if sigma:
-                right = edge + sigma * s_r * normals.pop(0) < pos
+                right = c + sigma * s_r * normals.pop(0) < pos
             else:
-                right = edge == 0
+                right = c < pos or (c == pos and rng.random() < 0.5)
             pos += s_r if right else -s_l
         path.append(pos)
         if pos <= 0 or pos >= w * s_r:
@@ -931,20 +938,43 @@ def batch_results(res):
     return list(zip(res.escape_cycles.tolist(), res.exit_sides.tolist()))
 
 
-def test_edge_cases_are_batched():
-    """The clean edge cases, and jitter-long, a jittered trace on the edges."""
-    cases = walk_stream_cases()
-    edge = [name for name, cfg in cases.items() if sim._is_edge_walk(cfg)]
-    assert edge == [*EDGE_CASES, "jitter-long"]
+def test_only_rc_lines_walk_a_trial_at_a_time(monkeypatch):
+    """Every discrete case of walk_stream_cases() steps in the batched
+    table kernel, and only the RC line reaches _walk.  The clean ISI-1 edge
+    walks resolve their escapes from the tables and never run a row a
+    crossing at a time; the jittered and interior walks do."""
+    walked, rows = [], []
+    real_walk, real_row = sim._walk, sim._Events._row
+
+    def walk(*args, **kw):
+        walked.append(name)
+        return real_walk(*args, **kw)
+
+    def row(*args, **kw):
+        rows.append(name)
+        return real_row(*args, **kw)
+
+    monkeypatch.setattr(sim, "_walk", walk)
+    monkeypatch.setattr(sim._Events, "_row", row)
+    for name, cfg in walk_stream_cases().items():
+        run_monte_carlo(cfg, 4, 11)
+        run_trial(cfg, 3, record=True)
+    assert set(walked) == {"rc"}
+    assert set(rows) == {"jitter", "jitter-long", "isi2-ties"}
 
 
 def batch_cases():
-    """The edge cases of walk_stream_cases(), plus a pattern whose length
-    divides no round, so a trial's pattern phase must carry across rounds,
-    and the short jittered and ISI-2 walks, which run a trial at a time."""
+    """The clean edge cases of walk_stream_cases(), plus a pattern whose
+    length divides no round, so a trial's pattern phase must carry across
+    rounds, and collar and ISI-2 walks, whose crossings lie inside the
+    window: a jittered collar, and a clean collar and ISI-2 trace that
+    meet ties."""
     cases = {name: walk_stream_cases()[name] for name in EDGE_CASES}
     cases["explicit-odd"] = replace(isi1_config(200), source=BitSource.explicit([1, 1, 0, 1, 0]))
     cases.update({name: walk_stream_cases()[name] for name in ("jitter", "isi2-ties")})
+    cases["collar-ties"] = replace(
+        cases["jitter"], channel=ChannelModel.discrete(cases["jitter"].channel.trace)
+    )
     return cases
 
 
@@ -954,10 +984,9 @@ def test_batch_matches_single_trials_and_oracle(name):
     trials = sim._BLOCK_TRIALS + 7  # two blocks
     big = batch_results(run_monte_carlo(cfg, trials, 3))
     assert big == solo_results(cfg, 3, trials)
-    if sim._is_edge_walk(cfg):
-        # the oracle walks a cycle at a time, so it checks the ends of each block
-        for k in (*range(7), *range(sim._BLOCK_TRIALS - 7, trials)):
-            assert big[k] == edge_walk_oracle(cfg, sim._trial_seed(3, k)), k
+    # the oracle walks a cycle at a time, so it checks the ends of each block
+    for k in (*range(7), *range(sim._BLOCK_TRIALS - 7, trials)):
+        assert big[k] == walk_oracle(cfg, sim._trial_seed(3, k)), k
     # trial k does not depend on how many trials run
     for m in (1, 7):
         assert batch_results(run_monte_carlo(cfg, m, 3)) == big[:m]
@@ -1011,7 +1040,7 @@ def test_batch_cut_by_max_cycles_matches_oracle(name):
     res = run_monte_carlo(cfg, trials, 8)
     got = batch_results(res)
     assert got == solo_results(cfg, 8, trials)
-    assert got == [edge_walk_oracle(cfg, sim._trial_seed(8, k)) for k in range(trials)]
+    assert got == [walk_oracle(cfg, sim._trial_seed(8, k)) for k in range(trials)]
     if name == "width-0":
         assert got == [(0, -1)] * trials
     else:
@@ -1026,7 +1055,7 @@ def test_batch_cut_by_max_cycles_matches_oracle(name):
 def test_censored_trials_are_counted():
     cfg = isi1_config(20, max_cycles=150)
     res = run_monte_carlo(cfg, 200, 4)
-    assert batch_results(res) == [edge_walk_oracle(cfg, (4, k)) for k in range(200)]
+    assert batch_results(res) == [walk_oracle(cfg, (4, k)) for k in range(200)]
     assert 0 < res.n_censored < res.n_trials
     assert res.n_escaped + res.n_censored == res.n_trials
     censored = ~res.escaped_mask
@@ -1052,53 +1081,71 @@ def edge_isi2_trace(width):
 
 
 @st.composite
-def edge_configs(draw):
-    """Edge walks of every kind the batched kernel takes: widths 2-64
-    (width 1 has no start strictly inside), either trace order, bernoulli
-    and pattern sources, mismatch, jitter or a coarse latch, and latch
-    durations and cycle caps that cut a table group short."""
+def trace_configs(draw):
+    """Discrete trials of every kind: widths 2-64 (width 1 has no start
+    strictly inside); traces of either order on the window edges, ISI-2
+    traces with sub-window crossings inside the window, and order-1
+    collars crossing on whole or half steps; starts anywhere inside, or on
+    a crossing, so that clean walks meet ties; bernoulli and pattern
+    sources, mismatch, jitter or a coarse latch, and latch durations and
+    cycle caps that cut a table group short."""
     w = draw(st.integers(2, 64))
-    trace = draw(st.sampled_from([isi1_trace, edge_isi2_trace]))(w)
+    kind = draw(st.sampled_from(["isi1", "edge-isi2", "collar", *["isi2"] * (w > 2)]))
+    if kind == "isi2":
+        a = draw(st.integers(1, w - 2))
+        b = draw(st.integers(1, w - 1 - a))
+        trace = isi2_trace(a, b, w - a - b)
+    elif kind == "collar":
+        lo = draw(st.integers(0, 2 * w - 1))
+        hi = draw(st.integers(lo + 1, 2 * w))
+        trace = IsiTraceModel(
+            order=1, crossing_positions=(lo / 2, hi / 2), transition_table=dict(ISI1_TABLE)
+        )
+    else:
+        trace = {"isi1": isi1_trace, "edge-isi2": edge_isi2_trace}[kind](w)
     source = draw(
         st.sampled_from([0.0, 0.3, 0.5, 1.0]).map(BitSource.bernoulli)
         | st.sampled_from([BitSource.training_biased(), BitSource.alternating()])
         | st.lists(st.integers(0, 1), min_size=1, max_size=9).map(BitSource.explicit)
     )
     sigma = draw(st.none() | st.floats(0.05, 3.0))
+    starts = st.integers(1, w - 1)
+    ties = [int(x) for x in trace.crossing_positions if 0 < x < w and x % 1 == 0]
+    if ties:
+        starts |= st.sampled_from(ties)
     coarse = None
-    if sigma is None and trace.order == 1 and draw(st.booleans()):
+    if sigma is None and kind == "isi1" and draw(st.booleans()):
         coarse = CoarseFirstSpec(draw(st.integers(1, 4)), draw(st.integers(1, 17)))
     return TrialConfig(
         channel=ChannelModel.discrete(trace, sigma),
         source=source,
         window=WindowSpec(w),
-        initial_position=draw(st.integers(1, w - 1)),
+        initial_position=draw(starts),
         mismatch_percent=draw(st.integers(0, 20)),
-        max_cycles=draw(st.sampled_from([*range(1, 18), 1000, 3001])),
+        max_cycles=draw(st.integers(1, 17) | st.sampled_from([1000, 3001])),
         coarse_first=coarse,
     )
 
 
 @settings(max_examples=150, deadline=None)
-@given(cfg=edge_configs(), batch=st.sampled_from([1, sim._BLOCK_TRIALS + 7]),
+@given(cfg=trace_configs(), batch=st.sampled_from([1, sim._BLOCK_TRIALS + 7]),
        record=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_edge_kernel_matches_oracle(cfg, batch, record, seed):
-    """The table kernel walks every edge trial as the cycle-at-a-time
+    """The table kernel walks every discrete trial as the cycle-at-a-time
     oracle does: escape cycle, side and, for a trial of its own, the
     trajectory; in a batch of two blocks, the trials at each block's ends."""
-    assert sim._is_edge_walk(cfg)
     if batch == 1:
         res = run_trial(cfg, (seed, 0), record)
         got = (res.escape_cycle if res.escaped else -1,
                0 if not res.escaped else (-1 if res.exit_side == "left" else 1))
-        want = edge_walk_oracle(cfg, (seed, 0), record)
+        want = walk_oracle(cfg, (seed, 0), record)
         assert got == want[:2]
         if record:
             assert np.array_equal(res.trajectory, want[2])
         return
     got = batch_results(run_monte_carlo(cfg, batch, seed))
     for k in (*range(7), *range(sim._BLOCK_TRIALS - 7, batch)):
-        assert got[k] == edge_walk_oracle(cfg, sim._trial_seed(seed, k)), k
+        assert got[k] == walk_oracle(cfg, sim._trial_seed(seed, k)), k
 
 
 class TieRng:
@@ -1122,10 +1169,10 @@ class TieRng:
 
 
 def test_jittered_tie_moves_left_and_draws_nothing():
-    """A jittered crossing exactly on the clock has no mass, so in either
-    kernel it moves the clock left, as c < p decides, and draws no coin:
-    each trial walks as it does when its first normal puts that crossing
-    just right of the clock."""
+    """A jittered crossing exactly on the clock has no mass, so in the
+    kernel, as in the oracle, it moves the clock left, as c < p decides,
+    and draws no coin: each trial walks as it does when its first normal
+    puts that crossing just right of the clock."""
     w, start = 20, 10
     cfg = TrialConfig(
         channel=ChannelModel.discrete(isi1_trace(w), 0.5),
@@ -1143,8 +1190,7 @@ def test_jittered_tie_moves_left_and_draws_nothing():
         z0.append((start - edge) / 0.5)
 
     def kernels(z):
-        rngs = [TieRng(k, zk) for k, zk in enumerate(z)]
-        walked = [sim._walk(cfg, *sim._trace_events(cfg, r), r, False)[:2] for r in rngs]
+        walked = [walk_oracle(cfg, TieRng(k, zk)) for k, zk in enumerate(z)]
         cycles, sides, _ = sim._walks(cfg, [TieRng(k, zk) for k, zk in enumerate(z)])
         return walked, list(zip(cycles.tolist(), sides.tolist()))
 
@@ -1161,26 +1207,24 @@ def test_jittered_tie_moves_left_and_draws_nothing():
 
 def test_oracle_and_kernels_agree_past_the_first_rows():
     """jitter-long's trials run through several rows, each row's normals
-    drawn after its bits, so the oracle agrees with both kernels on every
-    seed only if it keeps their row schedule.  The Hypothesis test's
-    walks mostly end inside the first row."""
+    drawn after its bits, so the oracle agrees with the kernel on every
+    seed only if it keeps the kernel's row schedule.  The Hypothesis
+    test's walks mostly end inside the first row."""
     cfg = walk_stream_cases()["jitter-long"]
     for seed in range(6):
-        want = edge_walk_oracle(cfg, seed)
+        want = walk_oracle(cfg, seed)
         assert want[0] > sim._ROW0 * 5  # past the second row
         res = run_trial(cfg, seed)
         assert (res.escape_cycle, -1 if res.exit_side == "left" else 1) == want
-        rng = np.random.default_rng(seed)
-        assert sim._walk(cfg, *sim._trace_events(cfg, rng), rng, False)[:2] == want
 
 
 @pytest.mark.parametrize("mismatch", [0, 10])
 def test_wide_jitter_runs_a_round_a_cycle_at_a_time(mismatch):
     """At sigma 3 steps in a width of 40, jitter reaches the clock from
-    much of the window, so rounds often run a cycle at a time from an event
-    group on, and the rest of such a round leaves the table's path.  Each
-    trial of the batched kernel still walks as _walk does over the same
-    stream, and so does a recorded trajectory."""
+    much of the window, so rounds often run a crossing at a time from an
+    event group on, and the rest of such a round leaves the table's path.
+    Each trial of the batched kernel still walks as the oracle does over
+    the same stream, and so does a recorded trajectory."""
     cfg = TrialConfig(
         channel=ChannelModel.discrete(isi1_trace(40), 3.0),
         source=BitSource.bernoulli(0.5),
@@ -1191,10 +1235,8 @@ def test_wide_jitter_runs_a_round_a_cycle_at_a_time(mismatch):
     trials, base = 300, 27
     res = run_monte_carlo(cfg, trials, base)
     for k, got in enumerate(batch_results(res)):
-        rng = np.random.default_rng(sim._trial_seed(base, k))
-        assert sim._walk(cfg, *sim._trace_events(cfg, rng), rng, False)[:2] == got, k
-    rng = np.random.default_rng(4)
-    want = sim._walk(cfg, *sim._trace_events(cfg, rng), rng, True)[2]
+        assert walk_oracle(cfg, sim._trial_seed(base, k)) == got, k
+    want = walk_oracle(cfg, 4, record=True)[2]
     assert want.size > 100
     assert np.array_equal(run_trial(cfg, 4, record=True).trajectory, want)
 
