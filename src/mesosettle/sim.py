@@ -13,17 +13,17 @@ clean edge walk runs only the group holding the escape a cycle at a
 time.  Any other trial runs a round a crossing at a time from its first
 event group: one that could escape, holds a crossing inside the window
 (ISI-2's sub-windows, a collar), or where a jittered crossing could
-reach the clock.  An RC line is a crossing-stream producer feeding
-``_walk``, which moves the clock one crossing at a time because each
-move depends on the position.
+reach the clock.  An RC line's trial is one call of ``_rc_walk``, which
+measures each cycle's first crossing off the waveform and moves the
+clock one crossing at a time, because each move depends on the position.
 Every trial draws on one schedule, in rows of ``_ROW0`` cycles growing
 fourfold up to ``_ROW_MAX``: a row's bits, then the normals of its
 crossings in cycle order, then, on a clean discrete trace, a fair coin
 per tie.  A jittered crossing lies on a continuous axis, so it ties the
 clock with probability zero: it draws no coin, and ``c < p`` decides.
 So a trial's stream does not depend on how a batch splits into rounds.
-A table walk draws each row ahead and holds it packed; ``_walk`` asks
-its producer for a row at a time, so an RC trial, which mostly escapes
+A table walk draws each row ahead and holds it packed; ``_rc_walk``
+synthesizes a row at a time, so an RC trial, which mostly escapes
 within a few cycles, synthesizes few UIs.
 The ladder's modal system is built once per ``_walks`` call, and each RC
 trial starts its own copy at rest.  ``run_monte_carlo`` sends
@@ -422,48 +422,6 @@ def _trajectory(pieces, s_r: int, w: int, side: int) -> np.ndarray:
     return trajectory
 
 
-def _walk(config: TrialConfig, events, start: int, w: int, record: bool):
-    """The phase-detector walk of an RC line, one crossing at a time.
-
-    events(n) gives the crossings of the next n cycles as cycle indices t
-    (-1 for a crossing just before the row) and positions c in sub-steps,
-    drawing the row's bits; a crossing left of the clock moves it s_r
-    sub-steps right and any other s_l sub-steps left.  The walk starts
-    start steps into a window of w whose edges absorb, asks for rows of
-    _ROW0 cycles growing fourfold up to _ROW_MAX, and returns one row of
-    _table_walks.
-    """
-    s_l, s_r = config._substeps
-    g, pos = w * s_r, start * s_r
-    traj = [np.array([pos], dtype=float)] if record else None
-    base, cycle, side, row = 0, -1, 0, _ROW0
-    while base < config.max_cycles and not side:
-        n = min(row, config.max_cycles - base)
-        t, c = events(n)
-        steps, p = [], pos
-        for ck in c.tolist():
-            p = p + s_r if ck < p else p - s_l
-            steps.append(p)
-            if p <= 0 or p >= g:
-                break
-        path = np.array(steps, dtype=np.int64)
-        if path.size and (path[-1] <= 0 or path[-1] >= g):
-            t = t[: path.size]
-            cycle = base + int(t[-1]) + 1
-            side = -1 if path[-1] <= 0 else 1
-        if record:
-            # per cycle, the position after its last crossing so far
-            stop = max(int(t[-1]), 0) + 1 if side else n
-            seen = np.searchsorted(np.maximum(t, 0), np.arange(stop), side="right")
-            traj.append(np.r_[pos, path][seen].astype(float))
-        if path.size:
-            pos = int(path[-1])
-        base += n
-        row = min(row * 4, _ROW_MAX)
-
-    return cycle, side, _trajectory(traj, s_r, w, side) if record else None
-
-
 class _GroupTables:
     """What each group of eight cycles does to a walk, by table row.
 
@@ -763,17 +721,83 @@ def _table_walks(config: TrialConfig, rngs, record: bool = False):
     return cycles, sides, _trajectory(traj, s_r, w, sides[0]) if record else None
 
 
+_RC_CAL_UI = 288
+
+
+def _rc_walk(config: TrialConfig, rng: np.random.Generator, line: _RcLine, record: bool):
+    """One trial of an RC line, returned as one row of _table_walks.
+
+    The trial drives a copy of line started at rest: a bernoulli burst of
+    _RC_CAL_UI UIs measures the susceptibility band, whose width sets the
+    window's in steps, and the payload follows in the same line state, in
+    rows of _ROW0 cycles growing fourfold to _ROW_MAX.  Each cycle's first
+    crossing, placed relative to the band start and scaled to sub-steps,
+    moves the clock s_r sub-steps right if it lies left of it, s_l left if
+    not.  A crossing between a row's last sample and the next row's first
+    (a lookback) belongs to the cycle before the row, and is first only if
+    the previous row gave that cycle none; before the first row, that
+    cycle is the burst's last and moves the start.
+    """
+    line = line.at_rest()
+    hist = _fold_crossings(line.crossings(rng.random(_RC_CAL_UI) < 0.5))
+    band, win_ui = hist.band_start_ui, hist.window_ui
+    s_l, s_r = config._substeps
+    width = win_ui / config.step_tau
+    # sub-step positions must fit 64-bit integers, as a discrete window's do
+    if not width * s_r < 2.0**63:
+        raise ValueError(
+            f"step_tau {config.step_tau:g} makes the measured {win_ui:.4g}-UI window "
+            f"{width:.4g} steps, {width * s_r:.4g} sub-steps, past 64-bit integers"
+        )
+    w = max(2, int(round(width)))
+    start = config.initial_position if config.initial_position is not None else w // 2
+    if not 0 < start < w:
+        raise ValueError(f"initial position must lie strictly inside the measured {w}-step window")
+    scale = s_r / config.step_tau
+    bits = _BitStreams(config.source, [rng])
+    g, p = w * s_r, start * s_r
+    traj = [np.array([p], dtype=float)] if record else None
+    base, cycle, side, row = 0, -1, 0, _ROW0
+    last = -2  # cycle of the previous row's last crossing, counted from this row
+    while base < config.max_cycles and not side:
+        n = min(row, config.max_cycles - base)
+        t_ui = line.crossings(bits.take(n)[0])
+        ui = np.floor(t_ui).astype(np.int64)
+        first = np.diff(ui, prepend=last) != 0
+        last = (ui[-1] if ui.size else last) - n
+        t = ui[first]
+        x = (t_ui[first] % 1.0 - band) % 1.0
+        x = np.where(x > (win_ui + 1.0) / 2, x - 1.0, x)  # just left of the band start
+        path = [p]
+        for c in (x * scale).tolist():
+            p = p + s_r if c < p else p - s_l
+            path.append(p)
+            if p <= 0 or p >= g:
+                side = -1 if p <= 0 else 1
+                cycle = base + int(t[len(path) - 2]) + 1
+                break
+        if record:
+            # per cycle from base - 1, the position after its last crossing:
+            # a lookback crossing moves the entry the last row ended on
+            seen = np.searchsorted(t, np.arange(-1, cycle - base if side else n), side="right")
+            got = np.array(path, dtype=float)[seen]
+            traj[-1][-1] = got[0]
+            traj.append(got[1:])
+        base += n
+        row = min(row * 4, _ROW_MAX)
+
+    return cycle, side, _trajectory(traj, s_r, w, side) if record else None
+
+
 def _walks(config: TrialConfig, rngs, record: bool = False):
     """The one trial dispatcher: what _table_walks returns, for one trial
     per generator.  Trials of a discrete trace step together in
-    _table_walks; those of an RC line walk one at a time, each through its
-    own crossing producer and _walk."""
+    _table_walks; those of an RC line walk one at a time in _rc_walk, each
+    from its own copy of one modal system built for the block."""
     if config.channel.kind == "discrete_trace":
         return _table_walks(config, rngs, record)
-    # one modal system for the block; each trial starts it at rest
     line = _RcLine(config.channel)
-    walks = (_walk(config, *_rc_line_events(config, r, line), record) for r in rngs)
-    cycles, sides, trajs = zip(*walks)
+    cycles, sides, trajs = zip(*(_rc_walk(config, r, line, record) for r in rngs))
     return np.array(cycles, dtype=np.int64), np.array(sides, dtype=np.int8), trajs[-1]
 
 
@@ -782,58 +806,14 @@ def run_trial(config: TrialConfig, seed, record: bool = False) -> TrialResult:
     sequence of ints or a Generator, which the trial then draws from.  A
     trial draws a row at a time, so a Generator is left past the trial's
     draws by the rest of its last row: up to _ROW_MAX bits and their
-    normals.  record keeps the position after each cycle as the
-    trajectory."""
+    normals.  record keeps the trajectory in steps: entry k is the
+    position after cycle k - 1, entry 0 the start.  An escaped trial's has
+    escape_cycle + 1 entries and ends on the edge it left by; a censored
+    one's has max_cycles + 1."""
     cycles, sides, traj = _walks(config, [np.random.default_rng(seed)], record)
     if not sides[0]:
         return TrialResult(False, None, None, traj)
     return TrialResult(True, int(cycles[0]), "left" if sides[0] < 0 else "right", traj)
-
-
-_RC_CAL_UI = 288
-
-
-def _rc_line_events(config: TrialConfig, rng: np.random.Generator, line: _RcLine):
-    """Crossing producer of a physical line: crossings are measured off the waveform.
-
-    The trial drives a copy of line started at rest.  A bernoulli
-    calibration burst locates the susceptibility band; the payload then
-    runs through the same line state so the line never resets.  Window
-    width in steps comes from the measured band width.
-    """
-    line = line.at_rest()
-    hist = _fold_crossings(line.crossings(rng.random(_RC_CAL_UI) < 0.5))
-    win_ui = hist.window_ui
-
-    w = max(2, int(round(win_ui / config.step_tau)))
-    init = config.initial_position if config.initial_position is not None else w // 2
-    if not 0 < init < w:
-        raise ValueError(
-            f"initial position must lie strictly inside the measured {w}-step window"
-        )
-    scale = config._substeps[1] / config.step_tau
-    events = _rc_events(line, _BitStreams(config.source, [rng]), hist.band_start_ui, win_ui, scale)
-    return events, init, w
-
-
-def _rc_events(line: _RcLine, bits: _BitStreams, band: float, win_ui: float, scale: float):
-    """The first crossing of each cycle of an RC line, placed relative to
-    the band start and scaled to sub-steps."""
-    last = -2  # cycle of the previous row's last crossing, counted from this row
-
-    def events(n: int) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal last
-        t_ui = line.crossings(bits.take(n)[0])
-        ui = np.floor(t_ui).astype(np.int64)
-        # a lookback crossing (ui -1) is first only if the previous row
-        # gave its cycle none
-        first = np.diff(ui, prepend=last) != 0
-        last = (ui[-1] if ui.size else last) - n
-        x = (t_ui[first] % 1.0 - band) % 1.0
-        x = np.where(x > (win_ui + 1.0) / 2, x - 1.0, x)  # just left of the band start
-        return ui[first], x * scale
-
-    return events
 
 
 def _trial_seed(base_seed, k: int):

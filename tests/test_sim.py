@@ -214,46 +214,6 @@ def test_lfilter_scan_matches_scipy(name):
                 assert abs(zf[0] - ref_zf[0]) <= 1e-12 * scale, (n, p, zi)
 
 
-class FixedFeed:
-    """Fixed bits in place of a one-trial sim._BitStreams: take(n) gives a (1, n) block."""
-
-    def __init__(self, bits):
-        self.bits, self.at = bits, 0
-
-    def take(self, n):
-        self.at += n
-        return self.bits[None, self.at - n : self.at]
-
-
-def first_crossing_stream(chan, bits, chunk):
-    """(cycle, position) of each cycle's first crossing, fed chunk UIs at a time."""
-    events = sim._rc_events(sim._RcLine(chan), FixedFeed(bits), 0.0, 0.5, 1.0)
-    cycles, positions = [], []
-    for base in range(0, bits.size, chunk):
-        t, c = events(min(chunk, bits.size - base))
-        cycles.append(base + t)
-        positions.append(c)
-    return np.concatenate(cycles), np.concatenate(positions)
-
-
-def test_rc_first_crossings_do_not_depend_on_chunking():
-    # this ladder's crossing band spans the UI seam, so some crossings fall
-    # between a UI's last sample and the next UI's first (a lookback
-    # crossing at a chunk start) after an earlier crossing in the same cycle
-    chan = ChannelModel.rc(r=1.0, c=0.1, samples_per_ui=64, sections=8)
-    bits = np.random.default_rng(0).integers(0, 2, 2048)
-    t = sim._RcLine(chan).crossings(bits)
-    ui = np.floor(t)
-    second = np.flatnonzero(ui[1:] == ui[:-1]) + 1
-    assert (t[second] % 1.0 > 1.0 - 1.0 / chan.samples_per_ui).any()
-    ref_cycles, ref_positions = first_crossing_stream(chan, bits, 1024)
-    assert np.array_equal(ref_cycles, np.unique(ui))
-    for chunk in (1, 7):
-        cycles, positions = first_crossing_stream(chan, bits, chunk)
-        assert np.array_equal(cycles, ref_cycles), chunk
-        assert np.allclose(positions, ref_positions, rtol=0.0, atol=1e-9), chunk
-
-
 # ------------------------------------------------------------ crossings
 
 
@@ -661,6 +621,101 @@ def test_rc_config_rules():
         run_trial(rc_trial_config(initial_position=4000), 1)
 
 
+def seam_config():
+    """An RC trial whose crossing band spans the UI seam, so some crossings
+    fall between one UI's last sample and the next one's first: at a row
+    seam, a lookback crossing of the cycle before the row."""
+    ch = ChannelModel.rc(r=1.0, c=0.1, samples_per_ui=64, sections=8)
+    return TrialConfig(
+        channel=ch, source=BitSource.bernoulli(0.5), step_tau=0.01, max_cycles=600
+    )
+
+
+def rc_calibration(cfg, seed):
+    """(generator, line, calibration histogram, window width in steps) of
+    one RC trial after its calibration burst."""
+    rng = np.random.default_rng(seed)
+    line = sim._RcLine(cfg.channel)
+    hist = sim._fold_crossings(line.crossings(rng.random(sim._RC_CAL_UI) < 0.5))
+    return rng, line, hist, max(2, round(hist.window_ui / cfg.step_tau))
+
+
+def rc_payload(cfg, seed):
+    """(calibration histogram, window width in steps, crossing times in UI
+    of the whole payload) of one RC trial on a bernoulli source,
+    synthesized at once."""
+    rng, line, hist, w = rc_calibration(cfg, seed)
+    return hist, w, line.crossings(rng.random(cfg.max_cycles) < cfg.source.p)
+
+
+def rc_walk_oracle(cfg, seed):
+    """(escape cycle, side, trajectory) of one RC trial on a bernoulli
+    source, walked a cycle at a time over its whole payload: each UI's
+    first crossing, placed relative to the band start, moves the clock.  A
+    crossing just before the payload belongs to cycle -1 and moves the
+    start.  -1 and 0 for a trial that does not escape."""
+    hist, w, t = rc_payload(cfg, seed)
+    s_l, s_r = cfg._substeps
+    ui = np.floor(t).astype(np.int64)
+    first = np.r_[True, ui[1:] != ui[:-1]]
+    x = (t[first] % 1.0 - hist.band_start_ui) % 1.0
+    x = np.where(x > (hist.window_ui + 1.0) / 2, x - 1.0, x)
+    crossing = dict(zip(ui[first].tolist(), (x * s_r / cfg.step_tau).tolist()))
+    start = cfg.initial_position if cfg.initial_position is not None else w // 2
+    pos, path = start * s_r, []
+    for cycle in range(-1, cfg.max_cycles):
+        c = crossing.get(cycle)
+        if c is not None:
+            pos += s_r if c < pos else -s_l
+        path.append(pos)
+        if pos <= 0 or pos >= w * s_r:
+            traj = np.array(path, dtype=float) / s_r
+            traj[-1] = 0.0 if pos <= 0 else float(w)
+            return cycle + 1, -1 if pos <= 0 else 1, traj
+    return -1, 0, np.array(path, dtype=float) / s_r
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_rc_walk_matches_oracle_whatever_the_rows(rows, monkeypatch):
+    """An RC trial's escape, side and recorded trajectory are those of its
+    whole payload walked a cycle at a time, whatever rows it is drawn in:
+    a lookback crossing at a row seam moves the cycle before the row.  The
+    trials walk crossings in the last sample interval of a UI, both as
+    their cycle's first crossing and after one: with rows of one cycle,
+    each is a lookback crossing, which is walked only in the first case."""
+    if rows is not None:
+        monkeypatch.setattr(sim, "_ROW0", rows)
+        monkeypatch.setattr(sim, "_ROW_MAX", rows)
+    cfg = seam_config()
+    firsts = seconds = 0
+    for seed in range(40):
+        cycle, side, traj = rc_walk_oracle(cfg, seed)
+        res = run_trial(cfg, seed, record=True)
+        assert (res.escape_cycle, res.exit_side) == (
+            (cycle, "left" if side < 0 else "right") if side else (None, None)
+        ), seed
+        assert np.array_equal(res.trajectory, traj), seed
+        t = rc_payload(cfg, seed)[2]
+        t = t[t < (cycle if side else cfg.max_cycles)]
+        ui = np.floor(t)
+        late = t % 1.0 > 1.0 - 1.0 / cfg.channel.samples_per_ui
+        first = np.r_[True, ui[1:] != ui[:-1]]
+        firsts += (late & first).sum()
+        seconds += (late & ~first).sum()
+    assert firsts > 0 and seconds > 0
+
+
+def test_rc_walk_refuses_a_window_past_64_bit_sub_steps():
+    cfg = TrialConfig(
+        channel=REFERENCE_CHANNELS["heavy"],
+        source=BitSource.bernoulli(0.5),
+        step_tau=1e-18,
+        mismatch_percent=1,
+    )
+    with pytest.raises(ValueError, match=r"step_tau 1e-18 makes the measured [0-9.]+-UI window"):
+        run_trial(cfg, 0)
+
+
 # ---------------------------------------------------------------- coarse
 
 
@@ -940,11 +995,11 @@ def batch_results(res):
 
 def test_only_rc_lines_walk_a_trial_at_a_time(monkeypatch):
     """Every discrete case of walk_stream_cases() steps in the batched
-    table kernel, and only the RC line reaches _walk.  The clean ISI-1 edge
-    walks resolve their escapes from the tables and never run a row a
+    table kernel, and only the RC line reaches _rc_walk.  The clean ISI-1
+    edge walks resolve their escapes from the tables and never run a row a
     crossing at a time; the jittered and interior walks do."""
     walked, rows = [], []
-    real_walk, real_row = sim._walk, sim._Events._row
+    real_walk, real_row = sim._rc_walk, sim._Events._row
 
     def walk(*args, **kw):
         walked.append(name)
@@ -954,7 +1009,7 @@ def test_only_rc_lines_walk_a_trial_at_a_time(monkeypatch):
         rows.append(name)
         return real_row(*args, **kw)
 
-    monkeypatch.setattr(sim, "_walk", walk)
+    monkeypatch.setattr(sim, "_rc_walk", walk)
     monkeypatch.setattr(sim._Events, "_row", row)
     for name, cfg in walk_stream_cases().items():
         run_monte_carlo(cfg, 4, 11)
@@ -998,6 +1053,29 @@ def test_run_trial_is_a_batch_of_one(name):
     run_trial on trial k's seed, for every kind of walk."""
     cfg = walk_stream_cases()[name]
     assert batch_results(run_monte_carlo(cfg, 4, 11)) == solo_results(cfg, 11, 4)
+
+
+@pytest.mark.parametrize("name", [*walk_stream_cases(), "seam"])
+def test_recorded_trajectory_contract(name):
+    """Entry k of a recorded trajectory is the position after cycle k - 1:
+    an escaped trial's has escape_cycle + 1 entries, all inside the window
+    but the last, which lies on the edge it left by; a censored one's has
+    max_cycles + 1.  Checked at each case's own max_cycles and at 37."""
+    base = seam_config() if name == "seam" else walk_stream_cases()[name]
+    censored = 0
+    for cfg in (base, replace(base, max_cycles=37)):
+        for seed in range(6):
+            res = run_trial(cfg, seed, record=True)
+            traj = res.trajectory
+            if not res.escaped:
+                censored += 1
+                assert traj.size == cfg.max_cycles + 1, seed
+                continue
+            w = rc_calibration(cfg, seed)[3] if cfg.window is None else cfg.window.width_steps
+            assert traj.size == res.escape_cycle + 1, seed
+            assert traj[-1] == (0.0 if res.exit_side == "left" else w), seed
+            assert ((traj[:-1] > 0) & (traj[:-1] < w)).all(), seed
+    assert censored
 
 
 def test_threads_match_serial_runs():
